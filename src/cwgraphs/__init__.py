@@ -62,6 +62,7 @@ from .structure import (
     CWDecomposition,
     attach_cliques,
     build_cw,
+    certify_cw,
     classify,
     decompose,
     decomposition_from_json,

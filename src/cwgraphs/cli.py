@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "max_vertices", 0) < 0:
+            raise InvalidParams(f"--max-vertices must be at least 0, got {args.max_vertices}")
         return args.fn(args)
     except (ParseError, EmptyGraph, InvalidParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)

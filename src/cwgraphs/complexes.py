@@ -470,7 +470,8 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> Shelling
             facets.append(frozenset(base | extra))
             provenance.append(FacetProvenance("G", tuple(sorted(idx)), nu))
 
-    assert len(facets) == total
+    if len(facets) != total:
+        raise LengthMismatch(f"shelling lists {len(facets)} facets, the count is {total}")
     return ShellingOrder(tuple(facets), tuple(provenance))
 
 

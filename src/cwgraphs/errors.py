@@ -66,7 +66,8 @@ class NotCompleteBipartiteSupport(CWGraphError):
 
 
 class LengthMismatch(CWGraphError):
-    pass
+    """Two sizes that must agree do not: sign vectors of unequal length,
+    or a constructed witness whose size is not the computed count."""
 
 
 class NotAPermutation(CWGraphError):

@@ -250,16 +250,15 @@ def from_edge_list(
 ) -> Graph:
     """Build a graph from labelled edge pairs plus isolated vertices.
 
-    Duplicate edges collapse; a loop raises LoopEdge; an overall empty
-    vertex set raises EmptyGraph.
+    Duplicate edges collapse; a loop raises LoopEdge; a label that is not
+    a nonempty string raises ParseError; an overall empty vertex set
+    raises EmptyGraph.
     """
     pairs = list(pairs)
-    vertices = set(isolated)
-    for u, v in pairs:
-        if not u or not v:
-            raise ParseError("vertex labels must be nonempty strings")
-        vertices.add(u)
-        vertices.add(v)
+    labels = [*isolated, *(w for pair in pairs for w in pair)]
+    if not all(isinstance(w, str) and w for w in labels):
+        raise ParseError("vertex labels must be nonempty strings")
+    vertices = set(labels)
     if not vertices:
         raise EmptyGraph("a graph needs at least one vertex")
     return Graph(vertices, pairs)
@@ -300,14 +299,12 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(payload, dict) or "edges" not in payload:
         raise ParseError("graph JSON needs an 'edges' field")
     vertices = payload.get("vertices", [])
-    edges = [tuple(e) for e in payload["edges"]]
+    edges = payload["edges"]
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise ParseError("'vertices' and 'edges' must be lists")
     for e in edges:
-        if len(e) != 2:
-            raise ParseError(f"edge {e!r} must have exactly two endpoints")
-    vertex_set = set(vertices)
-    for u, v in edges:
-        vertex_set.add(u)
-        vertex_set.add(v)
-    if not vertex_set:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"edge {e!r} must be a list of exactly two endpoints")
+    if not vertices and not edges:
         raise EmptyGraph("graph JSON declares no vertices")
-    return Graph(vertex_set, edges)
+    return from_edge_list([tuple(e) for e in edges], vertices)

@@ -46,8 +46,9 @@ def minimal_vertex_covers(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
 
 
 def is_unmixed(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> bool:
-    """True iff all minimal vertex covers share one cardinality."""
-    return len({len(c) for c in minimal_vertex_covers(g, cap=cap)}) <= 1
+    """True iff all minimal vertex covers share one cardinality, i.e. the
+    independence complex is pure."""
+    return independence_complex(g, cap=cap).is_pure()
 
 
 def _is_vertex_cover(g: Graph, cover: set) -> bool:
@@ -127,20 +128,22 @@ def g_prime(dec: CWDecomposition) -> Graph:
     return g.induced_subgraph(keep)
 
 
-def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP, verify="auto") -> int:
+def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
     """Cohen-Macaulay type 2^m, certified by counting the maximal
     independent sets of the derived subgraph.
 
-    verify="auto" runs the count when the derived graph fits the cap and
-    silently degrades to the bare formula beyond it; True forces the
-    count (SizeGuard beyond the cap); False skips it.
+    The count runs when the derived graph fits the cap; beyond it the
+    bare formula is returned.
     """
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("Cohen-Macaulay type needs a Cohen-Macaulay graph")
     value = 2**dec.m
-    if verify is True or (verify == "auto" and dec.n + 2 * dec.m <= cap):
+    if dec.n + 2 * dec.m <= cap:
         count = len(independence_complex(g_prime(dec), cap=cap).facets)
-        assert count == value, "independent-set count disagrees with 2^m"
+        if count != value:
+            raise InvalidDecomposition(
+                f"derived graph has {count} maximal independent sets, 2^m = {value}"
+            )
     return value
 
 
@@ -171,13 +174,19 @@ def projective_dimension_cw(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> int:
 
 def regularity_cw(g: Graph) -> int:
     """Regularity for the im = m families, where the sandwich
-    im <= reg <= m pins it to the common value."""
+    im <= reg <= m pins it to the common value: n + t on a certified
+    Cameron-Walker graph, the searched value on stars and star
+    triangles."""
     cls = classify(g)
     if cls.tag not in (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER):
         raise NotInFamily(f"regularity is only pinned down for im = m graphs, got {cls.tag}")
+    dec = cls.decomposition
+    if dec is not None:
+        return dec.n + dec.t
     m, _ = matching_number(g)
     im, _ = induced_matching_number(g)
-    assert im == m, "family member with im != m; classification bug"
+    if im != m:
+        raise NotInFamily(f"{cls.tag} with im = {im} != m = {m}; classification bug")
     return m
 
 
@@ -235,7 +244,13 @@ class InvariantReport:
 
 
 def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
-    """Aggregate every invariant; size-guarded fields degrade to None."""
+    """Aggregate every invariant; size-guarded fields degrade to None.
+
+    Each artifact is computed once: m and im come from the certificate
+    of a Cameron-Walker graph (searched only on other graphs), and
+    unmixedness, the cover cardinalities and i(G) are all read off the
+    facet sizes of one independence complex.
+    """
     rep = InvariantReport()
 
     def guarded(name, fn):
@@ -245,25 +260,32 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
             rep.reasons[name] = str(exc)
             rep.partial = True
 
-    guarded("m", lambda: matching_number(g)[0])
-    guarded("im", lambda: induced_matching_number(g)[0])
-    guarded("classification", lambda: classify(g))
-    cls = rep.classification
-    dec = cls.decomposition if cls is not None else None
+    cls = rep.classification = classify(g)
+    dec = cls.decomposition
+    if dec is not None:
+        rep.m = rep.im = dec.n + dec.t
+    else:
+        guarded("m", lambda: matching_number(g)[0])
+        guarded("im", lambda: induced_matching_number(g)[0])
 
-    guarded("unmixed", lambda: is_unmixed(g, cap=cap))
-    guarded(
-        "cover_cardinalities",
-        lambda: tuple(sorted(len(c) for c in minimal_vertex_covers(g, cap=cap))),
-    )
+    try:
+        sizes = [len(f) for f in independence_complex(g, cap=cap).facets]
+    except SizeGuard as exc:
+        for name in ("unmixed", "cover_cardinalities", "i_g"):
+            rep.reasons[name] = str(exc)
+        rep.partial = True
+    else:
+        rep.unmixed = len(set(sizes)) <= 1
+        rep.cover_cardinalities = tuple(sorted(g.vertex_count - s for s in sizes))
+        rep.i_g = min(sizes)
 
     if dec is not None:
-        guarded("cm", lambda: is_cm_cw(dec))
+        rep.cm = is_cm_cw(dec)
         if rep.cm:
-            guarded("cm_type", lambda: cm_type_cw(dec, cap=cap))
+            rep.cm_type = cm_type_cw(dec, cap=cap)
             if dec.n + 2 * dec.m > cap:
                 rep.reasons["cm_type"] = "formula only; derived graph exceeds the cap"
-            rep.gorenstein = is_gorenstein_cw(dec)
+            rep.gorenstein = rep.cm_type == 1
         else:
             rep.reasons["cm_type"] = "not Cohen-Macaulay"
             rep.gorenstein = False
@@ -277,17 +299,16 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     else:
         rep.reasons["sequentially_cm"] = "no vertex-decomposability certificate"
 
-    guarded("i_g", lambda: independence_domination_number(g, cap=cap)[0])
     if dec is not None:
         if rep.i_g is not None:
             rep.pd = g.vertex_count - rep.i_g
         else:
-            rep.reasons["pd"] = rep.reasons.get("i_g", "size guard")
+            rep.reasons["pd"] = rep.reasons["i_g"]
             rep.partial = True
     else:
         rep.reasons["pd"] = "only computed for Cameron-Walker graphs"
 
-    if cls is not None and cls.tag in (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER):
+    if cls.tag in (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER):
         if rep.m is not None and rep.im is not None:
             rep.reg = rep.m
         else:

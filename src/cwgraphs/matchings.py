@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAnEdge, SizeGuard
+from .errors import LengthMismatch, NotAnEdge, SizeGuard
 from .graph import Graph, canonical_edge, label_key
 
 MATCHING_VERTEX_CAP = 64
@@ -110,7 +110,8 @@ def matching_number(g: Graph, cap: int = MATCHING_VERTEX_CAP) -> tuple[int, tupl
         else:
             witness.append(canonical_edge(v, chosen))
             verts = verts - {v, chosen}
-    assert len(witness) == size
+    if len(witness) != size:
+        raise LengthMismatch(f"witness has {len(witness)} edges, the optimum is {size}")
     return size, tuple(witness)
 
 
@@ -162,7 +163,8 @@ def induced_matching_number(g: Graph, cap: int = INDUCED_EDGE_CAP) -> tuple[int,
             avail = avail & compatible[i]
         else:
             avail = avail - {i}
-    assert len(witness) == size
+    if len(witness) != size:
+        raise LengthMismatch(f"witness has {len(witness)} edges, the optimum is {size}")
     return size, tuple(witness)
 
 
@@ -170,5 +172,6 @@ def matching_stats(g: Graph) -> MatchingStats:
     """Both matching invariants with their witnesses."""
     m, wm = matching_number(g)
     im, wim = induced_matching_number(g)
-    assert im <= m
+    if im > m:
+        raise LengthMismatch(f"induced matching number {im} exceeds matching number {m}")
     return MatchingStats(m=m, im=im, witness_m=wm, witness_im=wim)

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cwgraphs.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -141,3 +143,21 @@ def test_json_output_byte_stable(capsys):
     _, a, _ = run(capsys, "shelling", str(DATA / "g5.edges"))
     _, b, _ = run(capsys, "shelling", str(DATA / "g5.edges"))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"edges": [[1, 2]]}', '{"edges": 5}', '{"edges": [["a", ""]]}'],
+)
+def test_malformed_json_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert code == 1
+    assert out == "" and err.startswith("input error:")
+
+
+def test_negative_max_vertices_is_an_input_error(capsys):
+    code, out, err = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "-1")
+    assert code == 1
+    assert out == "" and "--max-vertices" in err

@@ -21,6 +21,7 @@ from cwgraphs import (
     subset_less,
     verify_shelling,
 )
+from cwgraphs import complexes
 from cwgraphs.complexes import PLUS, MINUS
 from cwgraphs.errors import (
     LengthMismatch,
@@ -299,3 +300,10 @@ def test_vd_and_pure_implies_oracle_shelling():
         assert oracle_shelling_exists(cx)[0]
         checked += 1
     assert checked > 5
+
+
+def test_cw_shelling_count_check_raises(monkeypatch):
+    full = complexes._sign_vectors_descending
+    monkeypatch.setattr(complexes, "_sign_vectors_descending", lambda k: full(k)[1:])
+    with pytest.raises(LengthMismatch, match="shelling lists"):
+        cw_shelling(decompose(from_edge_list(G5_EDGES)))

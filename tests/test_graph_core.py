@@ -207,3 +207,19 @@ def test_parse_graph_json():
         parse_graph_json("{not json")
     with pytest.raises(ParseError):
         parse_graph_json('{"vertices": []}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"edges": [[1, 2]]}',  # labels that are not strings
+        '{"edges": 5}',  # a field that is not a list
+        '{"vertices": "ab", "edges": []}',
+        '{"edges": [["a", "b", "c"]]}',
+        '{"edges": [["a", ""]]}',  # the empty label
+        '{"vertices": [""], "edges": []}',
+    ],
+)
+def test_parse_graph_json_rejects_malformed_fields(text):
+    with pytest.raises(ParseError):
+        parse_graph_json(text)

@@ -25,7 +25,13 @@ from cwgraphs import (
     random_cw,
     regularity_cw,
 )
-from cwgraphs.errors import NotCameronWalker, NotCohenMacaulay, NotInFamily
+from cwgraphs import invariants
+from cwgraphs.errors import (
+    InvalidDecomposition,
+    NotCameronWalker,
+    NotCohenMacaulay,
+    NotInFamily,
+)
 
 
 def test_minimal_vertex_covers_single_edge():
@@ -131,6 +137,13 @@ def test_cm_type():
         cm_type_cw(decompose(from_edge_list(P5_EDGES)))
 
 
+def test_cm_type_count_check_raises(monkeypatch):
+    # a derived graph with one maximal independent set instead of 2^m = 2
+    monkeypatch.setattr(invariants, "g_prime", lambda dec: from_edge_list([], isolated=["a"]))
+    with pytest.raises(InvalidDecomposition, match="2\\^m = 2"):
+        cm_type_cw(decompose(from_edge_list(G5_EDGES)))
+
+
 def test_no_gorenstein():
     assert not is_gorenstein_cw(decompose(from_edge_list(G5_EDGES)))
     assert not is_gorenstein_cw(decompose(from_edge_list(P5_EDGES)))
@@ -172,6 +185,44 @@ def test_regularity():
     assert regularity_cw(from_edge_list([("a", "b")])) == 1
     with pytest.raises(NotInFamily):
         regularity_cw(petersen())
+
+
+def test_regularity_star_check_raises(monkeypatch):
+    monkeypatch.setattr(invariants, "induced_matching_number", lambda g: (0, ()))
+    with pytest.raises(NotInFamily, match="classification bug"):
+        regularity_cw(from_edge_list(STAR7_EDGES))
+
+
+def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
+    def no_search(g, cap=None):
+        raise AssertionError("exponential matching search on a Cameron-Walker graph")
+
+    monkeypatch.setattr(invariants, "matching_number", no_search)
+    monkeypatch.setattr(invariants, "induced_matching_number", no_search)
+    assert regularity_cw(from_edge_list(G5_EDGES)) == 2
+    rep = full_report(from_edge_list(P5_EDGES))
+    assert (rep.m, rep.im, rep.reg) == (2, 2, 2)
+    # 67 vertices and 106 edges: above both matching caps
+    big = random_cw(8, 8, 5, 3, 0.5, 0)
+    assert big.vertex_count() == 67
+    rep = full_report(build_cw(big))
+    assert rep.m == rep.im == rep.reg == big.n + big.t
+    assert rep.partial and rep.i_g is None and "cap is 26" in rep.reasons["i_g"]
+
+
+def test_full_report_builds_one_independence_complex(monkeypatch):
+    built = []
+
+    def counting(g, cap):
+        built.append(g.vertex_count)
+        return independence_complex(g, cap=cap)
+
+    monkeypatch.setattr(invariants, "independence_complex", counting)
+    full_report(from_edge_list(P5_EDGES))
+    assert built == [5]
+    built.clear()
+    full_report(from_edge_list(G5_EDGES))  # Cohen-Macaulay: G' is counted too
+    assert built == [5, 3]
 
 
 def test_full_report_g5():

@@ -23,7 +23,8 @@ from cwgraphs import (
     matching_stats,
     oracle_matchings,
 )
-from cwgraphs.errors import NotAnEdge, SizeGuard
+from cwgraphs import matchings
+from cwgraphs.errors import LengthMismatch, NotAnEdge, SizeGuard
 
 
 def test_is_matching():
@@ -158,3 +159,21 @@ def test_size_guards():
     wide = complete_bipartite(10, 10)
     with pytest.raises(SizeGuard):
         induced_matching_number(wide)
+
+
+def test_witness_length_checks_raise(monkeypatch):
+    # Summing the branches instead of taking their maximum inflates the
+    # optimum past what the witness reconstruction can realise.
+    monkeypatch.setattr(matchings, "max", lambda a, b: a + b, raising=False)
+    p3 = from_edge_list([("a", "b"), ("b", "c")])
+    with pytest.raises(LengthMismatch, match="witness has 1 edges, the optimum is 2"):
+        matching_number(p3)
+    two = from_edge_list([("a", "b"), ("c", "d")])
+    with pytest.raises(LengthMismatch, match="witness has 1 edges, the optimum is 3"):
+        induced_matching_number(two)
+
+
+def test_matching_stats_order_check_raises(monkeypatch):
+    monkeypatch.setattr(matchings, "induced_matching_number", lambda g: (2, ()))
+    with pytest.raises(LengthMismatch, match="exceeds"):
+        matching_stats(from_edge_list([("a", "b"), ("b", "c")]))

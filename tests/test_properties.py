@@ -1,0 +1,55 @@
+"""Property tests: recognition against the brute-force matching oracle."""
+
+import itertools
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st  # noqa: E402
+
+from cwgraphs import Graph, build_cw, classify, oracle_matchings, random_cw  # noqa: E402
+from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
+
+MAX_EDGES = 20  # the oracle's default edge budget
+
+
+@st.composite
+def any_graph(draw):
+    nv = draw(st.integers(7, 9))
+    verts = [f"v{i}" for i in range(1, nv + 1)]
+    pairs = list(itertools.combinations(verts, 2))
+    return Graph(verts, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=MAX_EDGES)))
+
+
+@st.composite
+def near_cameron_walker(draw):
+    """A Cameron-Walker graph on 7-9 vertices with at most one vertex
+    pair toggled, so recognition sees members and near misses alike."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    max_f, max_t = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    assume(n > 1 or max_t > 0)
+    dec = random_cw(n, m, max_f, max_t, draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    assume(7 <= dec.vertex_count() <= 9)
+    g = build_cw(dec)
+    edges = set(g.edges)
+    if draw(st.booleans()):
+        edges ^= {draw(st.sampled_from(list(itertools.combinations(g.vertices, 2))))}
+    assume(len(edges) <= MAX_EDGES)
+    return Graph(g.vertices, edges)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), near_cameron_walker()))
+def test_classify_agrees_with_oracle(g):
+    cls = classify(g)
+    event(cls.tag)
+    connected = g.is_connected()
+    m, im = oracle_matchings(g) if connected else (None, None)
+    assert (cls.tag != TAG_OTHER) == (connected and m == im)
+    if cls.tag == TAG_CAMERON_WALKER:
+        assert cls.decomposition.n + cls.decomposition.t == m

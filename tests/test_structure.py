@@ -31,6 +31,7 @@ from cwgraphs.structure import (
     TAG_OTHER,
     TAG_STAR,
     TAG_STAR_TRIANGLE,
+    certify_cw,
 )
 
 
@@ -145,12 +146,29 @@ def test_decomposition_json_round_trip():
 def test_classification_soundness_on_family():
     from cwgraphs import induced_matching_number, matching_number
 
-    for dec in cw_corpus()[:40]:
+    for dec in cw_corpus():
         g = build_cw(dec)
-        assert classify(g).tag == TAG_CAMERON_WALKER
-        assert matching_number(g)[0] == induced_matching_number(g)[0]
+        cls = classify(g)
+        assert cls.tag == TAG_CAMERON_WALKER
+        assert cls.decomposition == dec
+        assert matching_number(g)[0] == induced_matching_number(g)[0] == dec.n + dec.t
     st = star_triangle(3)
     assert matching_number(st)[0] == induced_matching_number(st)[0]
+
+
+def test_certificate_rejects_tampered_graph():
+    dec = random_cw(1, 2, 1, 1, 1.0, 3)  # one leaf, a triangle on y1 and y2
+    g = build_cw(dec)
+    assert certify_cw(g, dec) == dec.n + dec.t == 3
+    # a triangle vertex at y1 joined to the second right vertex: the edge
+    # meets no left vertex and leaves the odd set of y1
+    tampered = Graph(g.vertices, g.edges + (("w1_1+", "y2"),))
+    with pytest.raises(InvalidDecomposition, match="odd-set cover"):
+        certify_cw(tampered, dec)
+    # a leaf joined to a triangle vertex bridges two matching edges
+    bridged = Graph(g.vertices, g.edges + (("z1_1", "w1_1+"),))
+    with pytest.raises(InvalidDecomposition, match="joins two matching edges"):
+        certify_cw(bridged, dec)
 
 
 def test_attach_cliques():

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import complexes, invariants, oracle, structure
 from .errors import (
@@ -38,10 +38,10 @@ def _read_graph(path: str, fmt: str) -> Graph:
     if path == "-":
         text = sys.stdin.read()
     else:
-        p = Path(path)
-        if not p.exists():
+        if not os.path.exists(path):
             raise ParseError(f"no such file: {path}")
-        text = p.read_text()
+        with open(path) as fh:
+            text = fh.read()
     if fmt == "json":
         return parse_graph_json(text)
     return parse_edge_list(text)
@@ -97,16 +97,15 @@ def cmd_generate(args) -> int:
         args.n, args.m, args.max_f, args.max_t, args.density, args.seed
     )
     g = structure.build_cw(dec)
-    edges_path = Path(f"{args.out}.edges")
-    json_path = Path(f"{args.out}.json")
+    edges_path = f"{args.out}.edges"
+    json_path = f"{args.out}.json"
     lines = [f"# generated Cameron-Walker graph, seed {args.seed}"]
     lines += [f"{u} {v}" for u, v in g.edges]
-    edges_path.write_text("\n".join(lines) + "\n")
-    json_path.write_text(dec.to_json() + "\n")
-    _emit(
-        {"edges_file": str(edges_path), "decomposition_file": str(json_path)},
-        args.output,
-    )
+    with open(edges_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with open(json_path, "w") as fh:
+        fh.write(dec.to_json() + "\n")
+    _emit({"edges_file": edges_path, "decomposition_file": json_path}, args.output)
     return EXIT_OK
 
 

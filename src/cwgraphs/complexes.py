@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import Graph, label_key
+from .records import FrozenRecord, set_field
 from .structure import CWDecomposition
 
 COMPLEX_VERTEX_CAP = 26
@@ -142,7 +142,11 @@ def is_pure(c: SimplicialComplex) -> bool:
 # Decisions are cached across calls under a relabel-canonical key, so they
 # carry over between isomorphic subcomplexes of different graphs.  Only the
 # flag is shared; witnesses are rebuilt per input so the returned tree never
-# depends on what happened to be cached first.
+# depends on what happened to be cached first.  The cache is emptied when it
+# reaches VD_CACHE_LIMIT entries, which bounds its memory in a long-lived
+# process; a cleared entry is only recomputed.  Keys average ~2 KB on
+# complexes of 8 to 21 vertices, where one graph stores tens of entries.
+VD_CACHE_LIMIT = 4096
 _VD_CACHE: dict[tuple, bool] = {}
 _VD_LOCK = threading.Lock()
 
@@ -187,6 +191,8 @@ def _vd_decide(cx: SimplicialComplex) -> bool:
             result = True
             break
     with _VD_LOCK:
+        if len(_VD_CACHE) >= VD_CACHE_LIMIT:
+            _VD_CACHE.clear()
         _VD_CACHE[key] = result
     return result
 
@@ -381,17 +387,23 @@ def _sign_vectors_descending(length: int) -> list[tuple[str, ...]]:
     )
 
 
-@dataclass(frozen=True)
-class FacetProvenance:
-    family: str  # "F" or "G"
-    index_set: tuple[int, ...]
-    sign: tuple[str, ...]
+class FacetProvenance(FrozenRecord):
+    __slots__ = ("family", "index_set", "sign")
+
+    def __init__(self, family: str, index_set: tuple[int, ...], sign: tuple[str, ...]):
+        set_field(self, "family", family)  # "F" or "G"
+        set_field(self, "index_set", index_set)
+        set_field(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
-    facets: tuple[frozenset[str], ...]
-    provenance: tuple[FacetProvenance, ...]
+class ShellingOrder(FrozenRecord):
+    __slots__ = ("facets", "provenance")
+
+    def __init__(
+        self, facets: tuple[frozenset[str], ...], provenance: tuple[FacetProvenance, ...]
+    ):
+        set_field(self, "facets", facets)
+        set_field(self, "provenance", provenance)
 
     def to_json(self) -> str:
         prov = []

@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import re
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     Disconnected,
@@ -20,6 +19,7 @@ from .errors import (
     ParseError,
     UnknownVertex,
 )
+from .records import FrozenRecord, set_field
 
 _DIGIT_RUN = re.compile(r"(\d+)")
 
@@ -47,15 +47,17 @@ def canonical_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if label_key(u) <= label_key(v) else (v, u)
 
 
-@dataclass(frozen=True)
-class BipartitePartition:
+class BipartitePartition(FrozenRecord):
     """Proper 2-coloring of a connected bipartite graph.
 
     ``left`` is the side containing the canonically smallest vertex.
     """
 
-    left: tuple[str, ...]
-    right: tuple[str, ...]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple[str, ...], right: tuple[str, ...]):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 class Graph:

@@ -10,7 +10,6 @@ sets of a derived subgraph), and regularity comes from im = m.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .complexes import (
     COMPLEX_VERTEX_CAP,
@@ -26,6 +25,7 @@ from .errors import (
 )
 from .graph import Graph, label_key, sorted_labels
 from .matchings import induced_matching_number, matching_number
+from .records import Record
 from .structure import (
     TAG_CAMERON_WALKER,
     TAG_STAR,
@@ -207,26 +207,46 @@ _REPORT_FIELDS = (
 )
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(Record):
     """All invariants of one graph; inapplicable fields are None with a
-    reason recorded under the same name."""
+    reason recorded under the same name.  A field with a value may carry
+    a reason too, as a note on how the value was obtained."""
 
-    im: int | None = None
-    m: int | None = None
-    classification: Classification | None = None
-    unmixed: bool | None = None
-    cover_cardinalities: tuple[int, ...] | None = None
-    cm: bool | None = None
-    cm_type: int | None = None
-    gorenstein: bool | None = None
-    vertex_decomposable: bool | None = None
-    sequentially_cm: bool | None = None
-    i_g: int | None = None
-    pd: int | None = None
-    reg: int | None = None
-    reasons: dict[str, str] = field(default_factory=dict)
-    partial: bool = False
+    __slots__ = (*_REPORT_FIELDS, "reasons", "partial")
+
+    def __init__(
+        self,
+        im: int | None = None,
+        m: int | None = None,
+        classification: Classification | None = None,
+        unmixed: bool | None = None,
+        cover_cardinalities: tuple[int, ...] | None = None,
+        cm: bool | None = None,
+        cm_type: int | None = None,
+        gorenstein: bool | None = None,
+        vertex_decomposable: bool | None = None,
+        sequentially_cm: bool | None = None,
+        i_g: int | None = None,
+        pd: int | None = None,
+        reg: int | None = None,
+        reasons: dict[str, str] | None = None,
+        partial: bool = False,
+    ):
+        self.im = im
+        self.m = m
+        self.classification = classification
+        self.unmixed = unmixed
+        self.cover_cardinalities = cover_cardinalities
+        self.cm = cm
+        self.cm_type = cm_type
+        self.gorenstein = gorenstein
+        self.vertex_decomposable = vertex_decomposable
+        self.sequentially_cm = sequentially_cm
+        self.i_g = i_g
+        self.pd = pd
+        self.reg = reg
+        self.reasons = {} if reasons is None else reasons
+        self.partial = partial
 
     def to_json(self) -> str:
         payload: dict = {}
@@ -237,7 +257,7 @@ class InvariantReport:
             if name == "cover_cardinalities" and value is not None:
                 value = list(value)
             payload[name] = value
-            if value is None and name in self.reasons:
+            if name in self.reasons:
                 payload[f"{name}_reason"] = self.reasons[name]
         payload["partial"] = self.partial
         return json.dumps(payload)

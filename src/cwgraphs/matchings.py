@@ -7,10 +7,9 @@ in canonical edge order, so outputs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LengthMismatch, NotAnEdge, SizeGuard
 from .graph import Graph, canonical_edge, label_key
+from .records import FrozenRecord, set_field
 
 MATCHING_VERTEX_CAP = 64
 INDUCED_EDGE_CAP = 96
@@ -18,12 +17,16 @@ INDUCED_EDGE_CAP = 96
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class MatchingStats:
-    m: int
-    im: int
-    witness_m: tuple[Edge, ...]
-    witness_im: tuple[Edge, ...]
+class MatchingStats(FrozenRecord):
+    __slots__ = ("m", "im", "witness_m", "witness_im")
+
+    def __init__(
+        self, m: int, im: int, witness_m: tuple[Edge, ...], witness_im: tuple[Edge, ...]
+    ):
+        set_field(self, "m", m)
+        set_field(self, "im", im)
+        set_field(self, "witness_m", witness_m)
+        set_field(self, "witness_im", witness_im)
 
 
 def _check_edges(g: Graph, edges) -> list[Edge]:

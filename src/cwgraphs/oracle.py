@@ -9,17 +9,19 @@ facet orders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded
 from .graph import Graph, label_key, sorted_labels
+from .records import FrozenRecord, set_field
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_vertices: int = 16
-    max_edges: int = 20
-    max_facets: int = 12
+class OracleBudget(FrozenRecord):
+    __slots__ = ("max_vertices", "max_edges", "max_facets")
+
+    def __init__(self, max_vertices: int = 16, max_edges: int = 20, max_facets: int = 12):
+        set_field(self, "max_vertices", max_vertices)
+        set_field(self, "max_edges", max_edges)
+        set_field(self, "max_facets", max_facets)
 
 
 DEFAULT_BUDGET = OracleBudget()

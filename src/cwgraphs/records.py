@@ -1,0 +1,46 @@
+"""Plain record classes: the fields are the names in ``__slots__``.
+
+Each record writes its own ``__init__``, taking the fields in
+``__slots__`` order as ordinary parameters with defaults, so nothing is
+generated at import.  It inherits field-wise ``==`` within one type, a
+``repr`` listing the fields, and pickling and copying by positional
+construction.  ``Record`` is mutable and unhashable.  ``FrozenRecord``
+refuses assignment and hashes the tuple of its field values, so a
+frozen record holding a dict is unhashable like the dict; its
+``__init__`` stores fields with ``set_field``.
+"""
+
+set_field = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __hash__(self) -> int:
+        return hash(self._values())

@@ -9,8 +9,6 @@ whose right vertices may carry pendant triangles.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
 
 from .errors import (
     InvalidDecomposition,
@@ -22,6 +20,7 @@ from .errors import (
     ParseError,
 )
 from .graph import Graph, canonical_edge, label_key, sorted_labels
+from .records import FrozenRecord, set_field
 
 TAG_STAR = "Star"
 TAG_STAR_TRIANGLE = "StarTriangle"
@@ -29,21 +28,31 @@ TAG_CAMERON_WALKER = "CameronWalker"
 TAG_OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class CWDecomposition:
+class CWDecomposition(FrozenRecord):
     """Structural certificate: bipartite support plus attachment maps.
 
     ``leaf_map[x]`` lists the leaves hanging off the left vertex x (at
     least one each); ``triangle_map[y]`` lists the degree-2 vertex pairs
     of the pendant triangles at the right vertex y.  Right vertices are
-    ordered so that the triangle-bearing ones come first.
+    ordered so that the triangle-bearing ones come first.  The maps are
+    dicts, so a decomposition is unhashable; omitted maps start empty.
     """
 
-    support: Graph
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    leaf_map: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    triangle_map: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict)
+    __slots__ = ("support", "left", "right", "leaf_map", "triangle_map")
+
+    def __init__(
+        self,
+        support: Graph,
+        left: tuple[str, ...],
+        right: tuple[str, ...],
+        leaf_map: dict[str, tuple[str, ...]] | None = None,
+        triangle_map: dict[str, tuple[tuple[str, str], ...]] | None = None,
+    ):
+        set_field(self, "support", support)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "leaf_map", {} if leaf_map is None else leaf_map)
+        set_field(self, "triangle_map", {} if triangle_map is None else triangle_map)
 
     @property
     def n(self) -> int:
@@ -189,11 +198,15 @@ def decomposition_from_json(text: str) -> CWDecomposition:
     return dec
 
 
-@dataclass(frozen=True)
-class Classification:
-    tag: str
-    decomposition: CWDecomposition | None = None
-    reason: str | None = None
+class Classification(FrozenRecord):
+    __slots__ = ("tag", "decomposition", "reason")
+
+    def __init__(
+        self, tag: str, decomposition: CWDecomposition | None = None, reason: str | None = None
+    ):
+        set_field(self, "tag", tag)
+        set_field(self, "decomposition", decomposition)
+        set_field(self, "reason", reason)
 
     def to_json(self) -> str:
         payload: dict = {"tag": self.tag}
@@ -395,12 +408,14 @@ def build_cw(dec: CWDecomposition) -> Graph:
     return Graph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class CliqueAttachmentSpec:
+class CliqueAttachmentSpec(FrozenRecord):
     """Base graph plus one clique size k_i >= 2 per vertex."""
 
-    base: Graph
-    sizes: dict[str, int]
+    __slots__ = ("base", "sizes")
+
+    def __init__(self, base: Graph, sizes: dict[str, int]):
+        set_field(self, "base", base)
+        set_field(self, "sizes", sizes)
 
     def validate(self) -> None:
         if set(self.sizes) != set(self.base.vertices):
@@ -437,12 +452,14 @@ def attach_cliques(spec: CliqueAttachmentSpec) -> Graph:
     return Graph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class CliquePartition:
+class CliquePartition(FrozenRecord):
     """Disjoint (possibly empty) cliques covering the vertex set."""
 
-    base: Graph
-    parts: tuple[frozenset[str], ...]
+    __slots__ = ("base", "parts")
+
+    def __init__(self, base: Graph, parts: tuple[frozenset[str], ...]):
+        set_field(self, "base", base)
+        set_field(self, "parts", parts)
 
     def validate(self) -> None:
         union: set[str] = set()
@@ -506,6 +523,8 @@ def random_cw(
         raise InvalidParams(
             "n = 1 with max_t = 0 can only produce stars; allow triangles"
         )
+    import random  # only the generator needs it; keeps it off the import path
+
     rng = random.Random(seed)
 
     # Random spanning tree of the bipartite support, then extra edges.

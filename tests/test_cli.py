@@ -161,3 +161,15 @@ def test_negative_max_vertices_is_an_input_error(capsys):
     code, out, err = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "-1")
     assert code == 1
     assert out == "" and "--max-vertices" in err
+
+
+def test_analyze_notes_a_formula_only_cm_type(capsys):
+    # Under a cap of 2 the derived graph G' (3 vertices) is not counted,
+    # so cm_type = 2^m carries the note that only the formula gave it.
+    code, out, _ = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["cm_type"] == 2
+    assert payload["cm_type_reason"] == "formula only; derived graph exceeds the cap"
+    keys = list(payload)
+    assert keys.index("cm_type_reason") == keys.index("cm_type") + 1

@@ -302,6 +302,28 @@ def test_vd_and_pure_implies_oracle_shelling():
     assert checked > 5
 
 
+def test_vd_cache_is_bounded(monkeypatch):
+    class WatchedCache(dict):
+        peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.peak = max(self.peak, len(self))
+
+    rng = random.Random(23)
+    cxs = [independence_complex(random_graph(rng, 7, 0.4)) for _ in range(40)]
+    cxs.append(independence_complex(build_cw(cw_corpus()[0])))
+    monkeypatch.setattr(complexes, "_VD_CACHE", {})
+    unbounded = [is_vertex_decomposable(cx) for cx in cxs]
+    assert len(complexes._VD_CACHE) > 3
+
+    bounded = WatchedCache()
+    monkeypatch.setattr(complexes, "_VD_CACHE", bounded)
+    monkeypatch.setattr(complexes, "VD_CACHE_LIMIT", 3)
+    assert [is_vertex_decomposable(cx) for cx in cxs] == unbounded
+    assert 0 < bounded.peak <= 3
+
+
 def test_cw_shelling_count_check_raises(monkeypatch):
     full = complexes._sign_vectors_descending
     monkeypatch.setattr(complexes, "_sign_vectors_descending", lambda k: full(k)[1:])

@@ -10,7 +10,6 @@ from .complexes import (
     SimplicialComplex,
     cw_shelling,
     independence_complex,
-    is_pure,
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
     sign_vector_less,

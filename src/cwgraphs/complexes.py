@@ -133,10 +133,6 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
     return SimplicialComplex(facets, vertices=g.vertices)
 
 
-def is_pure(c: SimplicialComplex) -> bool:
-    return c.is_pure()
-
-
 # -- vertex decomposability -----------------------------------------------
 
 # Decisions are cached across calls under a relabel-canonical key, so they
@@ -237,36 +233,63 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     independent set of G-N[v] maximal in G-v.
 
     Splits into connected components; agrees with the complex-level test.
+    Runs on bitmasks: vertex i is bit i of ``g.vertices`` (label order),
+    so components listed by lowest bit and candidates tried in ascending
+    bit order follow the canonical vertex order.
     """
     if g.vertex_count > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
     order = g.vertices
-    adj = {v: frozenset(g.neighborhood(v)) for v in order}
-    memo: dict[frozenset, tuple] = {}
+    index = {v: i for i, v in enumerate(order)}
+    adj = [sum(1 << index[w] for w in g.neighborhood(v)) for v in order]
+    closed = [a | 1 << i for i, a in enumerate(adj)]
+    memo: dict[int, tuple] = {}
 
-    def components(vs: frozenset):
-        seen: set[str] = set()
+    def bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def components(vs: int) -> list[int]:
         comps = []
-        for root in order:
-            if root not in vs or root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for w in adj[u] & vs:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+        while vs:
+            comp = frontier = vs & -vs
+            while frontier:
+                reach = 0
+                for u in bits(frontier):
+                    reach |= adj[u]
+                frontier = reach & vs & ~comp
+                comp |= frontier
+            comps.append(comp)
+            vs &= ~comp
         return comps
 
-    def rec(vs: frozenset):
+    def dominates(need: int, dom: int, p: int, x: int) -> bool:
+        """Pivoting Bron-Kerbosch for independent sets, stopped at the
+        first maximal one whose neighbourhood covers ``need``.
+
+        The current set R is implicit: ``dom`` is the union of its
+        neighbourhoods, p its candidates and x the excluded vertices.
+        """
+        if not p:
+            return not x and not need & ~dom
+        for u in bits(need & ~dom):
+            if not adj[u] & p:
+                return False
+        pivot = min(bits(p | x), key=lambda u: (p & closed[u]).bit_count())
+        for v in bits(p & closed[pivot]):
+            if dominates(need, dom | adj[v], p & ~closed[v], x & ~closed[v]):
+                return True
+            p &= ~(1 << v)
+            x |= 1 << v
+        return False
+
+    def rec(vs: int):
         got = memo.get(vs)
         if got is not None:
             return got
-        if not any(adj[v] & vs for v in vs):
+        if not any(adj[v] & vs for v in bits(vs)):
             res = (True, {"kind": "edgeless"})
             memo[vs] = res
             return res
@@ -285,17 +308,12 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
             memo[vs] = res
             return res
         res = (False, None)
-        for v in sorted(vs, key=label_key):
-            nv = adj[v] & vs
-            rest = vs - {v}
-            outside = rest - nv
-            sub_adj = {u: adj[u] & outside for u in outside}
-            shedding = True
-            for s in _max_ind_sets(outside, sub_adj):
-                if all(adj[u] & s for u in nv):
-                    shedding = False
-                    break
-            if not shedding:
+        for v in bits(vs):
+            rest = vs & ~(1 << v)
+            outside = rest & ~adj[v]
+            # v is a shedding vertex iff no maximal independent set of
+            # G-N[v] dominates N(v), i.e. none is maximal in G-v.
+            if dominates(adj[v] & vs, 0, outside, 0):
                 continue
             ok1, w1 = rec(rest)
             if not ok1:
@@ -307,7 +325,7 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
                 True,
                 {
                     "kind": "shed",
-                    "vertex": v,
+                    "vertex": order[v],
                     "minus_vertex": w1,
                     "minus_closed_neighborhood": w2,
                 },
@@ -316,7 +334,7 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
         memo[vs] = res
         return res
 
-    return rec(frozenset(order))
+    return rec((1 << len(order)) - 1)
 
 
 # -- shellings --------------------------------------------------------------

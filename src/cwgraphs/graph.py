@@ -68,25 +68,33 @@ class Graph:
     public parsers.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_vset")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        vs = sorted_labels(set(vertices))
-        adj: dict[str, set[str]] = {v: set() for v in vs}
+        vset = set(vertices)
         es = set()
         for u, v in edges:
             if u == v:
                 raise LoopEdge(f"loop edge at {u!r}")
             for w in (u, v):
-                if w not in adj:
+                if w not in vset:
                     raise UnknownVertex(f"edge endpoint {w!r} is not a declared vertex")
             es.add(canonical_edge(u, v))
-            adj[u].add(v)
-            adj[v].add(u)
-        self._vertices = vs
-        self._vset = frozenset(vs)
+        self._vertices = sorted_labels(vset)
         self._edges = tuple(sorted(es, key=edge_key))
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        # Built on first use, so a graph that is only stored and read as
+        # vertex and edge tuples (a decomposition's support) stays small.
+        # Its keys are also the vertex set that membership is checked in.
+        self._adj: dict[str, frozenset[str]] | None = None
+
+    def _adjacency(self) -> dict[str, frozenset[str]]:
+        if self._adj is None:
+            adj: dict[str, set[str]] = {v: set() for v in self._vertices}
+            for u, v in self._edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        return self._adj
 
     # -- basic accessors ------------------------------------------------
 
@@ -113,7 +121,7 @@ class Graph:
         return iter(self._vertices)
 
     def __contains__(self, v: str) -> bool:
-        return v in self._vset
+        return v in self._adjacency()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -127,32 +135,38 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        adj = self._adjacency()
+        return u in adj and v in adj[u]
 
     def degree(self, v: str) -> int:
         self._require(v)
-        return len(self._adj[v])
+        return len(self._adjacency()[v])
 
     # -- structural primitives ------------------------------------------
 
     def _require(self, v: str) -> None:
-        if v not in self._vset:
+        if v not in self._adjacency():
             raise UnknownVertex(f"unknown vertex {v!r}")
 
     def neighborhood(self, v: str, closed: bool = False) -> frozenset[str]:
         """Open neighbourhood N(v), or the closed N[v] = N(v) + {v}."""
         self._require(v)
         if closed:
-            return self._adj[v] | {v}
-        return self._adj[v]
+            return self._adjacency()[v] | {v}
+        return self._adjacency()[v]
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
         """Subgraph on the kept vertices with all edges inside them."""
         kept = set(keep)
         for v in kept:
             self._require(v)
-        edges = [e for e in self._edges if e[0] in kept and e[1] in kept]
-        return Graph(kept, edges)
+        # Filtering keeps label and edge order, so the subgraph can share
+        # this graph's edge tuples instead of sorting fresh copies.
+        sub = Graph.__new__(Graph)
+        sub._vertices = tuple(v for v in self._vertices if v in kept)
+        sub._edges = tuple(e for e in self._edges if e[0] in kept and e[1] in kept)
+        sub._adj = None
+        return sub
 
     def delete(self, drop: Iterable[str] | str) -> "Graph":
         """Induced subgraph on the complement of ``drop``."""
@@ -161,10 +175,11 @@ class Graph:
         dropped = set(drop)
         for v in dropped:
             self._require(v)
-        return self.induced_subgraph(self._vset - dropped)
+        return self.induced_subgraph(set(self._vertices) - dropped)
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Maximal connected vertex sets, each sorted, listed by smallest member."""
+        adj = self._adjacency()
         seen: set[str] = set()
         comps = []
         for root in self._vertices:
@@ -174,7 +189,7 @@ class Graph:
             queue = deque([root])
             while queue:
                 u = queue.popleft()
-                for w in self._adj[u]:
+                for w in adj[u]:
                     if w not in comp:
                         comp.add(w)
                         queue.append(w)
@@ -191,27 +206,12 @@ class Graph:
         Requires a connected graph; the side of the canonically smallest
         vertex is "left".
         """
-        if not self._vertices:
-            raise Disconnected("the empty graph has no bipartition")
-        if not self.is_connected():
-            raise Disconnected("bipartition requires a connected graph")
-        color = {self._vertices[0]: 0}
-        queue = deque([self._vertices[0]])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(self._adj[u], key=label_key):
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-        left = sorted_labels(v for v in self._vertices if color[v] == 0)
-        right = sorted_labels(v for v in self._vertices if color[v] == 1)
-        return BipartitePartition(left, right)
+        return two_coloring(self, self._vertices)
 
     def leaves(self) -> tuple[str, ...]:
         """All vertices of degree 1."""
-        return sorted_labels(v for v in self._vertices if len(self._adj[v]) == 1)
+        adj = self._adjacency()
+        return tuple(v for v in self._vertices if len(adj[v]) == 1)
 
     def pendant_triangles(self) -> tuple[tuple[str, str, str], ...]:
         """Triangles with two degree-2 vertices hanging off a vertex of degree > 2.
@@ -219,18 +219,19 @@ class Graph:
         Each is reported as (c, a, b) where c is the attachment vertex and
         a < b are the degree-2 vertices; sorted by c then (a, b).
         """
+        adj = self._adjacency()
         found = []
         for a in self._vertices:
-            if len(self._adj[a]) != 2:
+            if len(adj[a]) != 2:
                 continue
-            x, y = sorted(self._adj[a], key=label_key)
+            x, y = sorted(adj[a], key=label_key)
             # a's triangle partner is its degree-2 neighbour; the third
             # vertex is the attachment and must have degree > 2.
             for b, c in ((x, y), (y, x)):
                 if (
-                    len(self._adj[b]) == 2
-                    and len(self._adj[c]) > 2
-                    and self.has_edge(b, c)
+                    len(adj[b]) == 2
+                    and len(adj[c]) > 2
+                    and b in adj[c]
                     and label_key(a) < label_key(b)
                 ):
                     found.append((c, a, b))
@@ -245,6 +246,38 @@ class Graph:
             "edges": [list(e) for e in self._edges],
         }
         return json.dumps(payload)
+
+
+def two_coloring(g: Graph, vertices: tuple[str, ...]) -> BipartitePartition | None:
+    """2-coloring of the subgraph of g induced on ``vertices`` by
+    breadth-first layering; None if that subgraph has an odd cycle.
+
+    ``vertices`` must be in label order, and its first vertex's side is
+    "left".  Raises Disconnected when the subgraph is empty or
+    disconnected, whether or not it also has an odd cycle.
+    """
+    if not vertices:
+        raise Disconnected("the empty graph has no bipartition")
+    adj = g._adjacency()
+    keep = set(vertices)
+    color = {vertices[0]: 0}
+    queue = deque([vertices[0]])
+    odd = False
+    while queue:
+        u = queue.popleft()
+        for w in adj[u] & keep:
+            if w not in color:
+                color[w] = 1 - color[u]
+                queue.append(w)
+            elif color[w] == color[u]:
+                odd = True
+    if len(color) != len(keep):
+        raise Disconnected("bipartition requires a connected graph")
+    if odd:
+        return None
+    left = tuple(v for v in vertices if color[v] == 0)
+    right = tuple(v for v in vertices if color[v] == 1)
+    return BipartitePartition(left, right)
 
 
 def from_edge_list(

@@ -32,10 +32,9 @@ class MatchingStats(FrozenRecord):
 def _check_edges(g: Graph, edges) -> list[Edge]:
     out = []
     for u, v in edges:
-        e = canonical_edge(u, v)
-        if e not in set(g.edges):
+        if not g.has_edge(u, v):
             raise NotAnEdge(f"{(u, v)!r} is not an edge of the graph")
-        out.append(e)
+        out.append(canonical_edge(u, v))
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import (
+    Disconnected,
     InvalidDecomposition,
     InvalidParams,
     InvalidSize,
@@ -19,7 +20,7 @@ from .errors import (
     NotCameronWalker,
     ParseError,
 )
-from .graph import Graph, canonical_edge, label_key, sorted_labels
+from .graph import Graph, canonical_edge, label_key, sorted_labels, two_coloring
 from .records import FrozenRecord, set_field
 
 TAG_STAR = "Star"
@@ -83,13 +84,26 @@ class CWDecomposition(FrozenRecord):
         return sum(1 for t in self.t_counts if t >= 1)
 
     def validate(self) -> None:
+        # Reads only the support's vertex and edge tuples, so validating
+        # does not make the stored support build its adjacency.
         if not self.left or not self.right:
             raise InvalidDecomposition("support needs vertices on both sides")
         if set(self.support.vertices) != set(self.left) | set(self.right):
             raise InvalidDecomposition("left/right must partition the support vertices")
         if set(self.left) & set(self.right):
             raise InvalidDecomposition("left and right overlap")
-        if not self.support.is_connected():
+        nbrs: dict[str, list[str]] = {v: [] for v in self.support.vertices}
+        for u, v in self.support.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        reached = {self.left[0]}
+        stack = [self.left[0]]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != len(nbrs):
             raise InvalidDecomposition("support is not connected")
         lset = set(self.left)
         for u, v in self.support.edges:
@@ -262,10 +276,10 @@ def _try_decompose(g: Graph):
     leaves, triangles, support_vertices = _attachments(g)
     if len(support_vertices) < 2:
         return None, "support has fewer than two vertices after stripping"
-    support = g.induced_subgraph(support_vertices)
-    if not support.is_connected():
+    try:
+        bip = two_coloring(g, support_vertices)
+    except Disconnected:
         return None, "support is not connected"
-    bip = support.bipartition()
     if bip is None:
         return None, "support is not bipartite"
 
@@ -307,6 +321,7 @@ def _try_decompose(g: Graph):
                         key=lambda p: (label_key(p[0]), label_key(p[1]))))
         for y in right
     }
+    support = g.induced_subgraph(support_vertices)
     dec = CWDecomposition(support, left, right, leaf_map, triangle_map)
     dec.validate()
     return dec, None

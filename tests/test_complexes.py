@@ -1,7 +1,9 @@
 """Independence complexes, vertex decomposability, and shellings."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from cwgraphs import (
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
     oracle_shelling_exists,
+    parse_edge_list,
     random_cw,
     sign_vector_less,
     subset_less,
@@ -31,6 +34,8 @@ from cwgraphs.errors import (
     UnknownVertex,
 )
 from cwgraphs.graph import Graph
+
+DATA = Path(__file__).parent / "data"
 
 G5_CANONICAL_FACETS = {
     frozenset({"w1_1+", "x1"}),
@@ -132,6 +137,19 @@ def test_checkers_agree_on_small_graphs():
         a = is_vertex_decomposable_graph(g)[0]
         b = is_vertex_decomposable(independence_complex(g))[0]
         assert a == b
+
+
+def test_vd_graph_witnesses_are_pinned():
+    # Exact (flag, witness) on the bundled graphs and two random_cw graphs:
+    # which vertex is shed first and the order of components are pinned.
+    expected = json.loads((DATA / "vd_witnesses.json").read_text())
+    graphs = {p.name: parse_edge_list(p.read_text()) for p in sorted(DATA.glob("*.edges"))}
+    for args in ((2, 2, 2, 1, 0.5, 3), (3, 3, 2, 1, 0.5, 11)):
+        graphs[f"random_cw{args!r}"] = build_cw(random_cw(*args))
+    assert sorted(graphs) == sorted(expected)
+    for name, g in graphs.items():
+        got = json.dumps(list(is_vertex_decomposable_graph(g)))
+        assert got == json.dumps(expected[name]), name
 
 
 def test_vd_witness_shape():

@@ -37,6 +37,15 @@ def test_is_matching():
         is_matching(path, [("a", "c")])
 
 
+@pytest.mark.parametrize("bad", [("a", "c"), ("a", "a"), ("a", "q")])
+def test_matching_checks_reject_non_edges(bad):
+    # a non-edge, a loop and a vertex the graph does not have
+    path = from_edge_list([("a", "b"), ("b", "c")])
+    for check in (is_matching, is_induced_matching):
+        with pytest.raises(NotAnEdge):
+            check(path, [bad])
+
+
 def test_is_induced_matching():
     p4 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d")])
     assert not is_induced_matching(p4, [("a", "b"), ("c", "d")])

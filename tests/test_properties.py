@@ -1,4 +1,6 @@
-"""Property tests: recognition against the brute-force matching oracle."""
+"""Property tests: recognition against the brute-force matching oracle, and
+the independence complex and both vertex-decomposability tests against
+the brute-force independent-set oracle and each other."""
 
 import itertools
 
@@ -7,7 +9,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st  # noqa: E402
 
-from cwgraphs import Graph, build_cw, classify, oracle_matchings, random_cw  # noqa: E402
+from cwgraphs import (  # noqa: E402
+    Graph,
+    build_cw,
+    classify,
+    independence_complex,
+    is_vertex_decomposable,
+    is_vertex_decomposable_graph,
+    label_key,
+    oracle_matchings,
+    oracle_max_independent_sets,
+    random_cw,
+)
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
 
 MAX_EDGES = 20  # the oracle's default edge budget
@@ -53,3 +66,19 @@ def test_classify_agrees_with_oracle(g):
     assert (cls.tag != TAG_OTHER) == (connected and m == im)
     if cls.tag == TAG_CAMERON_WALKER:
         assert cls.decomposition.n + cls.decomposition.t == m
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), near_cameron_walker()))
+def test_complex_and_vd_tests_agree_with_oracle(g):
+    cx = independence_complex(g)
+    facets = tuple(tuple(sorted(f, key=label_key)) for f in cx.facets)
+    assert facets == oracle_max_independent_sets(g)
+    vd = is_vertex_decomposable_graph(g)[0]
+    event(f"vertex decomposable: {vd}")
+    assert vd == is_vertex_decomposable(cx)[0]

@@ -1,6 +1,8 @@
 """Classification, decomposition, constructions, and the generator."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -251,3 +253,30 @@ def test_validate_rejects_bad_decompositions():
     )
     with pytest.raises(InvalidDecomposition):
         build_cw(bad)
+    disconnected = type(dec)(
+        support=Graph(dec.support.vertices, dec.support.edges[:1]),
+        left=dec.left,
+        right=dec.right,
+        leaf_map=dec.leaf_map,
+        triangle_map=dec.triangle_map,
+    )
+    with pytest.raises(InvalidDecomposition, match="not connected"):
+        disconnected.validate()
+
+
+def test_classify_result_stays_small():
+    # A stored decomposition keeps its support's vertex and edge tuples
+    # only; adjacency sets would roughly double the retained size.
+    g = build_cw(random_cw(4, 4, 3, 3, 0.5, 0))
+    classify(g)  # builds g's own adjacency, which the input keeps
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cls = classify(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cls.tag == TAG_CAMERON_WALKER
+    assert retained < 3072, f"one classify result retains {retained} bytes"

@@ -2,15 +2,14 @@
 
 Commands: analyze | classify | shelling | generate | oracle.
 stdout carries JSON (unless --output text), stderr carries human text.
-Exit codes: 0 ok, 1 input error, 2 size/budget guard, 3 refusal,
-4 oracle mismatch.
+Exit codes: 0 ok, 1 input or usage error, 2 size/budget guard,
+3 refusal, 4 oracle mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import complexes, invariants, oracle, structure
@@ -35,13 +34,18 @@ EXIT_MISMATCH = 4
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        if not os.path.exists(path):
-            raise ParseError(f"no such file: {path}")
-        with open(path) as fh:
-            text = fh.read()
+    """Parse a file, or stdin for ``-``, as UTF-8 whatever the locale."""
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 (byte {exc.start}: {exc.reason})") from exc
     if fmt == "json":
         return parse_graph_json(text)
     return parse_edge_list(text)
@@ -56,6 +60,8 @@ def _emit(payload: dict, output: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.max_vertices < 0:
+        raise InvalidParams(f"--max-vertices must be at least 0, got {args.max_vertices}")
     g = _read_graph(args.path, args.format)
     report = invariants.full_report(g, cap=args.max_vertices)
     if args.output == "text":
@@ -101,10 +107,13 @@ def cmd_generate(args) -> int:
     json_path = f"{args.out}.json"
     lines = [f"# generated Cameron-Walker graph, seed {args.seed}"]
     lines += [f"{u} {v}" for u, v in g.edges]
-    with open(edges_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(json_path, "w") as fh:
-        fh.write(dec.to_json() + "\n")
+    try:
+        with open(edges_path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with open(json_path, "w") as fh:
+            fh.write(dec.to_json() + "\n")
+    except OSError as exc:
+        raise InvalidParams(f"cannot write {exc.filename}: {exc.strerror}") from exc
     _emit({"edges_file": edges_path, "decomposition_file": json_path}, args.output)
     return EXIT_OK
 
@@ -157,12 +166,6 @@ def _add_io_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", default="-", help="input file, or - for stdin")
     p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
     p.add_argument("--output", choices=("json", "text"), default="json")
-    p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=complexes.COMPLEX_VERTEX_CAP,
-        help="enumeration cap for complex-based invariants",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,6 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _add_io_options(p)
         p.set_defaults(fn=fn)
+        if name == "analyze":
+            p.add_argument(
+                "--max-vertices",
+                type=int,
+                default=complexes.COMPLEX_VERTEX_CAP,
+                help="enumeration cap for complex-based invariants",
+            )
 
     g = sub.add_parser("generate")
     g.add_argument("--n", type=int, required=True)
@@ -197,10 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "max_vertices", 0) < 0:
-            raise InvalidParams(f"--max-vertices must be at least 0, got {args.max_vertices}")
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which
+        # has printed its message; 2 is reserved for size guards here.
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
         return args.fn(args)
     except (ParseError, EmptyGraph, InvalidParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)

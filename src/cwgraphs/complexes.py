@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from functools import cmp_to_key
 
 from .errors import (
@@ -135,96 +134,50 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
 
 # -- vertex decomposability -----------------------------------------------
 
-# Decisions are cached across calls under a relabel-canonical key, so they
-# carry over between isomorphic subcomplexes of different graphs.  Only the
-# flag is shared; witnesses are rebuilt per input so the returned tree never
-# depends on what happened to be cached first.  The cache is emptied when it
-# reaches VD_CACHE_LIMIT entries, which bounds its memory in a long-lived
-# process; a cleared entry is only recomputed.  Keys average ~2 KB on
-# complexes of 8 to 21 vertices, where one graph stores tens of entries.
-VD_CACHE_LIMIT = 4096
-_VD_CACHE: dict[tuple, bool] = {}
-_VD_LOCK = threading.Lock()
-
-
-def _canonical_key(cx: SimplicialComplex) -> tuple:
-    """Facets after relabelling vertices by first canonical occurrence."""
-    fwd: dict[str, int] = {}
-    for f in cx.facets:
-        for v in sorted(f, key=label_key):
-            if v not in fwd:
-                fwd[v] = len(fwd)
-    return tuple(sorted(tuple(sorted(fwd[v] for v in f)) for f in cx.facets))
-
-
-def _shed_split(cx: SimplicialComplex, x: str):
-    """(deletion, link) if x satisfies the shedding condition, else None.
-
-    The condition: no face of the link is a facet of the deletion, i.e.
-    no deletion facet sits inside a link facet.
-    """
-    deleted = cx.delete(x)
-    link = cx.link(x)
-    if any(any(d <= l for l in link.facets) for d in deleted.facets):
-        return None
-    return deleted, link
-
-
-def _vd_decide(cx: SimplicialComplex) -> bool:
-    if len(cx.facets) <= 1:
-        return True
-    key = _canonical_key(cx)
-    with _VD_LOCK:
-        cached = _VD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = False
-    for x in sorted(cx.facet_support(), key=label_key):
-        split = _shed_split(cx, x)
-        if split is None:
-            continue
-        if _vd_decide(split[0]) and _vd_decide(split[1]):
-            result = True
-            break
-    with _VD_LOCK:
-        if len(_VD_CACHE) >= VD_CACHE_LIMIT:
-            _VD_CACHE.clear()
-        _VD_CACHE[key] = result
-    return result
-
-
-def _vd_witness(cx: SimplicialComplex):
-    """Witness tree for a complex already known to be decomposable."""
-    if not cx.facets:
-        return {"kind": "empty"}
-    if len(cx.facets) == 1:
-        return {"kind": "simplex"}
-    for x in sorted(cx.facet_support(), key=label_key):
-        split = _shed_split(cx, x)
-        if split is None:
-            continue
-        deleted, link = split
-        if _vd_decide(deleted) and _vd_decide(link):
-            return {
-                "kind": "shed",
-                "vertex": x,
-                "deleted": _vd_witness(deleted),
-                "link": _vd_witness(link),
-            }
-    raise AssertionError("witness requested for a non-decomposable complex")
-
 
 def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
     """Exact recursive test; returns (flag, witness tree of shed vertices).
 
-    The search tries shedding vertices in canonical order, first success
-    wins, so the witness is a deterministic function of the input.
+    A vertex x sheds when no face of the link is a facet of the deletion,
+    i.e. no deletion facet sits inside a link facet.  The search tries
+    shedding vertices in canonical order, first success wins, so the
+    witness is a deterministic function of the input.  Results are
+    memoized for this call only, keyed by facet bitmasks rather than the
+    facets themselves so the memo holds no subcomplex alive.
     """
-    if len(c.facet_support()) > cap:
+    support = c.facet_support()
+    if len(support) > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
-    if not _vd_decide(c):
-        return False, None
-    return True, _vd_witness(c)
+    bit = {v: 1 << i for i, v in enumerate(support)}
+    memo: dict[tuple[int, ...], tuple] = {}
+
+    def rec(cx: SimplicialComplex):
+        if not cx.facets:
+            return True, {"kind": "empty"}
+        if len(cx.facets) == 1:
+            return True, {"kind": "simplex"}
+        key = tuple(sum(bit[v] for v in f) for f in cx.facets)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        res = (False, None)
+        for x in sorted(cx.facet_support(), key=label_key):
+            deleted = cx.delete(x)
+            link = cx.link(x)
+            if any(any(d <= l for l in link.facets) for d in deleted.facets):
+                continue
+            ok1, w1 = rec(deleted)
+            if not ok1:
+                continue
+            ok2, w2 = rec(link)
+            if not ok2:
+                continue
+            res = (True, {"kind": "shed", "vertex": x, "deleted": w1, "link": w2})
+            break
+        memo[key] = res
+        return res
+
+    return rec(c)
 
 
 def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):

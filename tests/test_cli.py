@@ -1,6 +1,10 @@
 """The command-line interface: commands, exit codes, JSON output."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from cwgraphs.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -114,9 +119,7 @@ def test_oracle_command_on_bundled_corpus(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO("a b\nb c\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b\nb c\n")))
     code, out, _ = run(capsys, "classify", "-")
     assert code == 0
     assert json.loads(out)["tag"] == "Star"
@@ -173,3 +176,68 @@ def test_analyze_notes_a_formula_only_cm_type(capsys):
     assert payload["cm_type_reason"] == "formula only; derived graph exceeds the cap"
     keys = list(payload)
     assert keys.index("cm_type_reason") == keys.index("cm_type") + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--max-vertices", "abc", str(DATA / "g5.edges")],
+        ["analyze", "--bogus", str(DATA / "g5.edges")],
+        ["bogus", str(DATA / "g5.edges")],
+    ],
+)
+def test_usage_errors_are_input_errors(capsys, argv):
+    # exit 2 means a size or budget guard, so usage errors exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and "error:" in err
+
+
+def test_max_vertices_is_an_analyze_option_only(capsys):
+    code, out, err = run(capsys, "classify", "--max-vertices", "3", str(DATA / "g5.edges"))
+    assert code == 1
+    assert out == "" and "unrecognized arguments: --max-vertices" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: cwgraphs")
+
+
+def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"a b\n\xff c\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("input error: input is not UTF-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+    assert run(capsys, "classify", "-")[0] == 1
+
+
+def test_directory_path_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert code == 1
+    assert out == "" and err.startswith("input error: cannot read")
+
+
+def test_generate_into_missing_directory_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "generate", "--n", "2", "--m", "2", "--out", str(tmp_path / "nope" / "g")
+    )
+    assert code == 1
+    assert out == "" and err.startswith("input error: cannot write")
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_utf8_labels_under_a_c_locale(tmp_path, stdin):
+    # input is UTF-8 whatever the locale, for files and for stdin alike
+    path = tmp_path / "g5.edges"
+    path.write_bytes((DATA / "g5.edges").read_text().replace("x", "x\u00e9").encode())
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    argv = [sys.executable, "-m", "cwgraphs.cli", "shelling", "-" if stdin else str(path)]
+    proc = subprocess.run(
+        argv, input=path.read_bytes() if stdin else None, capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ["w", "x\u00e9"] in json.loads(proc.stdout)["facets"]

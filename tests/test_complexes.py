@@ -152,6 +152,26 @@ def test_vd_graph_witnesses_are_pinned():
         assert got == json.dumps(expected[name]), name
 
 
+def test_vd_complex_witnesses_are_pinned():
+    # Exact (flag, witness) of the complex-level test on the independence
+    # complexes of the graphs above and on four hand-built complexes, the
+    # same in either call order: no state carries over between calls.
+    expected = json.loads((DATA / "vd_complex_witnesses.json").read_text())
+    graphs = {p.name: parse_edge_list(p.read_text()) for p in sorted(DATA.glob("*.edges"))}
+    for args in ((2, 2, 2, 1, 0.5, 3), (3, 3, 2, 1, 0.5, 11)):
+        graphs[f"random_cw{args!r}"] = build_cw(random_cw(*args))
+    cxs = {name: independence_complex(g) for name, g in graphs.items()}
+    cxs["path a-b-c-d"] = SimplicialComplex([{"a", "b"}, {"b", "c"}, {"c", "d"}])
+    cxs["edges a-b, c-d"] = SimplicialComplex([{"a", "b"}, {"c", "d"}])
+    cxs["[]"] = SimplicialComplex([])
+    cxs["[set()]"] = SimplicialComplex([set()])
+    assert sorted(cxs) == sorted(expected)
+    for names in (list(cxs), list(reversed(cxs))):
+        for name in names:
+            got = json.dumps(list(is_vertex_decomposable(cxs[name])))
+            assert got == json.dumps(expected[name]), name
+
+
 def test_vd_witness_shape():
     g5 = from_edge_list(G5_EDGES)
     ok, wit = is_vertex_decomposable_graph(g5)
@@ -318,28 +338,6 @@ def test_vd_and_pure_implies_oracle_shelling():
         assert oracle_shelling_exists(cx)[0]
         checked += 1
     assert checked > 5
-
-
-def test_vd_cache_is_bounded(monkeypatch):
-    class WatchedCache(dict):
-        peak = 0
-
-        def __setitem__(self, key, value):
-            super().__setitem__(key, value)
-            self.peak = max(self.peak, len(self))
-
-    rng = random.Random(23)
-    cxs = [independence_complex(random_graph(rng, 7, 0.4)) for _ in range(40)]
-    cxs.append(independence_complex(build_cw(cw_corpus()[0])))
-    monkeypatch.setattr(complexes, "_VD_CACHE", {})
-    unbounded = [is_vertex_decomposable(cx) for cx in cxs]
-    assert len(complexes._VD_CACHE) > 3
-
-    bounded = WatchedCache()
-    monkeypatch.setattr(complexes, "_VD_CACHE", bounded)
-    monkeypatch.setattr(complexes, "VD_CACHE_LIMIT", 3)
-    assert [is_vertex_decomposable(cx) for cx in cxs] == unbounded
-    assert 0 < bounded.peak <= 3
 
 
 def test_cw_shelling_count_check_raises(monkeypatch):

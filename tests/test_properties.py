@@ -1,6 +1,7 @@
-"""Property tests: recognition against the brute-force matching oracle, and
+"""Property tests: recognition against the brute-force matching oracle,
 the independence complex and both vertex-decomposability tests against
-the brute-force independent-set oracle and each other."""
+the brute-force independent-set oracle and each other, and vertex
+decomposability against the exhaustive shelling search."""
 
 import itertools
 
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 from cwgraphs import (  # noqa: E402
     Graph,
+    SimplicialComplex,
     build_cw,
     classify,
     independence_complex,
@@ -19,11 +21,13 @@ from cwgraphs import (  # noqa: E402
     label_key,
     oracle_matchings,
     oracle_max_independent_sets,
+    oracle_shelling_exists,
     random_cw,
 )
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
 
 MAX_EDGES = 20  # the oracle's default edge budget
+MAX_FACETS = 12  # the oracle's default facet budget
 
 
 @st.composite
@@ -82,3 +86,28 @@ def test_complex_and_vd_tests_agree_with_oracle(g):
     vd = is_vertex_decomposable_graph(g)[0]
     event(f"vertex decomposable: {vd}")
     assert vd == is_vertex_decomposable(cx)[0]
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(
+    st.one_of(
+        st.one_of(any_graph(), near_cameron_walker()).map(independence_complex),
+        st.lists(
+            st.frozensets(st.sampled_from("abcdefg"), min_size=1, max_size=4),
+            min_size=2,
+            max_size=MAX_FACETS,
+        ).map(SimplicialComplex),
+    )
+)
+def test_vertex_decomposable_implies_a_shelling(cx):
+    # Vertex decomposable complexes are shellable, pure or not
+    # (Bjorner-Wachs), so the exhaustive search must find an order.
+    if len(cx.facets) > MAX_FACETS or not is_vertex_decomposable(cx)[0]:
+        return
+    event("vertex decomposable, " + ("pure" if cx.is_pure() else "non-pure"))
+    assert oracle_shelling_exists(cx)[0]

@@ -8,11 +8,11 @@ Exit codes: 0 ok, 1 input or usage error, 2 size/budget guard,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
-from . import complexes, invariants, oracle, structure
+from . import complexes, invariants, structure
 from .errors import (
     BudgetExceeded,
     CWGraphError,
@@ -51,10 +51,21 @@ def _read_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
+def _write_text(lines) -> None:
+    """Write text output as UTF-8, the encoding input is read with,
+    whatever the locale's encoding of stdout."""
+    text = "".join(f"{line}\n" for line in lines)
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+
+
 def _emit(payload: dict, output: str) -> None:
     if output == "text":
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+        _write_text(f"{key}: {value}" for key, value in payload.items())
     else:
         print(json.dumps(payload))
 
@@ -82,26 +93,30 @@ def cmd_classify(args) -> int:
 
 
 def cmd_shelling(args) -> int:
+    from .shelling import cw_shelling
+
     g = _read_graph(args.path, args.format)
     try:
         dec = structure.decompose(g)
-        order = complexes.cw_shelling(dec)
+        order = cw_shelling(dec)
     except (NotCameronWalker, NotCompleteBipartiteSupport) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     if args.output == "text":
-        for f, p in zip(order.facets, order.provenance):
-            fam = f"{p.family}{set(p.index_set) if p.index_set else '{}'}"
-            print(f"{fam} {''.join(p.sign) or '-'}: {' '.join(sorted(f, key=label_key))}")
+        _write_text(
+            f"{p.family}{set(p.index_set) if p.index_set else '{}'} {''.join(p.sign) or '-'}: "
+            f"{' '.join(sorted(f, key=label_key))}"
+            for f, p in zip(order.facets, order.provenance)
+        )
     else:
         print(order.to_json())
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    dec = structure.random_cw(
-        args.n, args.m, args.max_f, args.max_t, args.density, args.seed
-    )
+    from .constructions import random_cw
+
+    dec = random_cw(args.n, args.m, args.max_f, args.max_t, args.density, args.seed)
     g = structure.build_cw(dec)
     edges_path = f"{args.out}.edges"
     json_path = f"{args.out}.json"
@@ -119,6 +134,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     g = _read_graph(args.path, args.format)
     budget = oracle.OracleBudget()
     mismatches = []
@@ -162,59 +179,136 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _add_io_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", nargs="?", default="-", help="input file, or - for stdin")
-    p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
-    p.add_argument("--output", choices=("json", "text"), default="json")
+_IO_OPTIONS = {
+    "path": (str, "-"),
+    "--format": (("edgelist", "json"), "edgelist"),
+    "--output": (("json", "text"), "json"),
+}
+
+# command -> (handler, {option: (kind, default)}).  A kind is a type that
+# converts the value or a tuple of the allowed values; a default of None
+# marks a required option.  The key "path" is the positional argument.
+COMMANDS = {
+    "analyze": (cmd_analyze, {**_IO_OPTIONS, "--max-vertices": (int, complexes.COMPLEX_VERTEX_CAP)}),
+    "classify": (cmd_classify, _IO_OPTIONS),
+    "shelling": (cmd_shelling, _IO_OPTIONS),
+    "oracle": (cmd_oracle, _IO_OPTIONS),
+    "generate": (
+        cmd_generate,
+        {
+            "--n": (int, None),
+            "--m": (int, None),
+            "--max-f": (int, 1),
+            "--max-t": (int, 1),
+            "--density": (float, 0.0),
+            "--seed": (int, 0),
+            "--out": (str, None),
+            "--output": (("json", "text"), "json"),
+        },
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cwgraphs",
-        description="Cameron-Walker graph recognition and edge-ideal invariants",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Usage(Exception):
+    """Help (no message) or a usage error, for one command or the whole CLI."""
 
-    for name, fn in (
-        ("analyze", cmd_analyze),
-        ("classify", cmd_classify),
-        ("shelling", cmd_shelling),
-        ("oracle", cmd_oracle),
-    ):
-        p = sub.add_parser(name)
-        _add_io_options(p)
-        p.set_defaults(fn=fn)
-        if name == "analyze":
-            p.add_argument(
-                "--max-vertices",
-                type=int,
-                default=complexes.COMPLEX_VERTEX_CAP,
-                help="enumeration cap for complex-based invariants",
-            )
+    def __init__(self, command: str | None, message: str | None = None):
+        super().__init__(message)
+        self.command = command
+        self.message = message
 
-    g = sub.add_parser("generate")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--max-f", type=int, default=1)
-    g.add_argument("--max-t", type=int, default=1)
-    g.add_argument("--density", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True, help="output path prefix")
-    g.add_argument("--output", choices=("json", "text"), default="json")
-    g.set_defaults(fn=cmd_generate)
 
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: cwgraphs COMMAND [PATH] [--opt VALUE | --opt=VALUE]..."
+    words = ["usage: cwgraphs", command]
+    for key, (kind, default) in COMMANDS[command][1].items():
+        if key == "path":
+            words.append("[PATH]")
+            continue
+        meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+        words.append(f"{key} {meta}" if default is None else f"[{key} {meta}]")
+    return " ".join(words)
+
+
+def parse_args(argv: list[str]):
+    """(handler, args) for ``COMMAND [PATH] [--opt VALUE | --opt=VALUE]...``.
+
+    Options must be spelled in full; a value may begin with '-'.  Raises
+    ``_Usage`` for -h/--help and for usage errors.
+    """
+    if not argv:
+        raise _Usage(None, "the following arguments are required: COMMAND")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        raise _Usage(None)
+    if command not in COMMANDS:
+        raise _Usage(None, f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    handler, spec = COMMANDS[command]
+    given = {}
+    tokens = iter(rest)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            raise _Usage(command)
+        if tok.startswith("-") and tok != "-":
+            key, eq, value = tok.partition("=")
+            if key not in spec:
+                raise _Usage(command, f"unrecognized arguments: {tok}")
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _Usage(command, f"argument {key}: expected one argument")
+        elif "path" in spec and "path" not in given:
+            key, value = "path", tok
+        else:
+            raise _Usage(command, f"unrecognized arguments: {tok}")
+        given[key] = value
+
+    args = SimpleNamespace()
+    missing = []
+    for key, (kind, default) in spec.items():
+        value = given.get(key, default)
+        if key not in given:
+            if default is None:
+                missing.append(key)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise _Usage(
+                    command,
+                    f"argument {key}: invalid choice: {value!r} (choose from {', '.join(kind)})",
+                )
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                raise _Usage(
+                    command, f"argument {key}: invalid {kind.__name__} value: {value!r}"
+                ) from None
+        setattr(args, key.lstrip("-").replace("-", "_"), value)
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    return handler, args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 after --help and 2 on a usage error, which
-        # has printed its message; 2 is reserved for size guards here.
-        return EXIT_INPUT if exc.code else EXIT_OK
+        handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Usage as exc:
+        if exc.message is not None:
+            prog = "cwgraphs" if exc.command is None else f"cwgraphs {exc.command}"
+            print(f"{_usage(exc.command)}\n{prog}: error: {exc.message}", file=sys.stderr)
+            return EXIT_INPUT
+        print(_usage(exc.command))
+        if exc.command is None:
+            print(
+                "\nCameron-Walker graph recognition and edge-ideal invariants.\n"
+                f"commands: {', '.join(COMMANDS)}\n"
+                "PATH is an input file, or - (the default) for stdin.\n"
+                "'cwgraphs COMMAND --help' lists the options of one command."
+            )
+        return EXIT_OK
     try:
-        return args.fn(args)
+        return handler(args)
     except (ParseError, EmptyGraph, InvalidParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,6 @@
 """The command-line interface: commands, exit codes, JSON output."""
 
+import contextlib
 import io
 import json
 import os
@@ -137,6 +138,11 @@ def test_text_output(capsys):
     code, out, _ = run(capsys, "classify", str(DATA / "star7.edges"), "--output", "text")
     assert code == 0
     assert "tag: StarTriangle" in out
+    # a stdout without a byte buffer, as under contextlib.redirect_stdout
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["classify", str(DATA / "star7.edges"), "--output", "text"]) == 0
+    assert buf.getvalue() == out
 
 
 def test_json_output_byte_stable(capsys):
@@ -184,6 +190,12 @@ def test_analyze_notes_a_formula_only_cm_type(capsys):
         ["analyze", "--max-vertices", "abc", str(DATA / "g5.edges")],
         ["analyze", "--bogus", str(DATA / "g5.edges")],
         ["bogus", str(DATA / "g5.edges")],
+        ["analyze", str(DATA / "g5.edges"), "--format=yaml"],
+        ["analyze", str(DATA / "g5.edges"), "--format"],
+        ["analyze", str(DATA / "g5.edges"), str(DATA / "k4.edges")],
+        ["analyze", str(DATA / "g5.edges"), "--form", "edgelist"],  # no abbreviations
+        ["generate", "--m", "2", "--out", "never-written"],
+        ["generate", "--n", "2", "--m", "2", "--density", "abc", "--out", "never-written"],
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv):
@@ -203,6 +215,18 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: cwgraphs")
+
+
+def test_command_help_exits_0(capsys):
+    code, out, err = run(capsys, "analyze", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: cwgraphs analyze")
+
+
+def test_option_value_after_equals_sign(capsys):
+    code, out, _ = run(capsys, "analyze", "--output=text", str(DATA / "g5.edges"))
+    assert code == 0
+    assert "cm_type: 2" in out.splitlines()
 
 
 def test_undecodable_input_is_an_input_error(tmp_path, capsys, monkeypatch):
@@ -241,3 +265,15 @@ def test_utf8_labels_under_a_c_locale(tmp_path, stdin):
     )
     assert proc.returncode == 0, proc.stderr
     assert ["w", "x\u00e9"] in json.loads(proc.stdout)["facets"]
+
+
+@pytest.mark.parametrize("command", ["classify", "analyze", "shelling"])
+def test_text_output_is_utf8_under_a_c_locale(tmp_path, command):
+    # text output is written in the encoding input is read with
+    path = tmp_path / "g5.edges"
+    path.write_bytes((DATA / "g5.edges").read_text().replace("x", "x\u00e9").encode())
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    argv = [sys.executable, "-m", "cwgraphs.cli", command, str(path), "--output", "text"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "x\u00e9" in proc.stdout.decode("utf-8")

@@ -24,7 +24,7 @@ from cwgraphs import (
     subset_less,
     verify_shelling,
 )
-from cwgraphs import complexes
+from cwgraphs import shelling
 from cwgraphs.complexes import PLUS, MINUS
 from cwgraphs.errors import (
     LengthMismatch,
@@ -341,7 +341,7 @@ def test_vd_and_pure_implies_oracle_shelling():
 
 
 def test_cw_shelling_count_check_raises(monkeypatch):
-    full = complexes._sign_vectors_descending
-    monkeypatch.setattr(complexes, "_sign_vectors_descending", lambda k: full(k)[1:])
+    full = shelling._sign_vectors_descending
+    monkeypatch.setattr(shelling, "_sign_vectors_descending", lambda k: full(k)[1:])
     with pytest.raises(LengthMismatch, match="shelling lists"):
         cw_shelling(decompose(from_edge_list(G5_EDGES)))

@@ -103,7 +103,7 @@ def test_invariant_report_is_mutable_and_unhashable():
         hash(rep)
 
 
-def test_cli_import_loads_no_code_generation_modules():
+def test_cli_import_loads_only_what_analyze_runs():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = "import sys, cwgraphs.cli; print(' '.join(sorted(sys.modules)))"
@@ -112,5 +112,9 @@ def test_cli_import_loads_no_code_generation_modules():
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert "cwgraphs.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "typing"}
+    layers = {f"cwgraphs.{m}" for m in ("cli", "graph", "structure", "matchings", "complexes", "invariants")}
+    assert layers <= loaded
+    # no code generation, no argparse, and none of the modules that only
+    # the shelling, generate and oracle commands run
+    assert not loaded & {"dataclasses", "inspect", "typing", "argparse"}
+    assert not loaded & {"cwgraphs.oracle", "cwgraphs.shelling", "cwgraphs.constructions"}

@@ -104,7 +104,7 @@ def cmd_shelling(args) -> int:
         return EXIT_REFUSED
     if args.output == "text":
         _write_text(
-            f"{p.family}{set(p.index_set) if p.index_set else '{}'} {''.join(p.sign) or '-'}: "
+            f"{p.family}{{{', '.join(map(str, p.index_set))}}} {''.join(p.sign) or '-'}: "
             f"{' '.join(sorted(f, key=label_key))}"
             for f, p in zip(order.facets, order.provenance)
         )

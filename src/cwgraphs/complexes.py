@@ -16,6 +16,11 @@ from .structure import CWDecomposition
 
 COMPLEX_VERTEX_CAP = 26
 SHELLING_FACET_CAP = 4096
+# The Bron-Kerbosch enumeration and both vertex-decomposability tests
+# recurse about once per vertex, so above this many vertices they raise
+# SizeGuard whatever their cap says.  At 512 vertices they use about 525
+# frames, leaving a caller over 450 of CPython's default limit of 1000.
+RECURSION_VERTEX_CEILING = 512
 
 PLUS = "+"
 MINUS = "-"
@@ -92,6 +97,13 @@ class SimplicialComplex:
         )
 
 
+def _check_ceiling(what: str, count: int) -> None:
+    if count > RECURSION_VERTEX_CEILING:
+        raise SizeGuard(
+            f"{what} recursion ceiling is {RECURSION_VERTEX_CEILING} vertices, got {count}"
+        )
+
+
 def _max_ind_sets(vertices, adj) -> list[frozenset[str]]:
     """Maximal independent sets via pivoting Bron-Kerbosch on the complement."""
     verts = sorted(vertices, key=label_key)
@@ -118,6 +130,7 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
     """The complex whose facets are the maximal independent sets of g."""
     if g.vertex_count > cap:
         raise SizeGuard(f"independence-complex cap is {cap} vertices, graph has {g.vertex_count}")
+    _check_ceiling("independence-complex", g.vertex_count)
     adj = {v: set(g.neighborhood(v)) for v in g.vertices}
     facets = _max_ind_sets(g.vertices, adj)
     return SimplicialComplex(facets, vertices=g.vertices)
@@ -139,6 +152,7 @@ def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
     support = c.facet_support()
     if len(support) > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
+    _check_ceiling("vertex-decomposability", len(support))
     bit = {v: 1 << i for i, v in enumerate(support)}
     memo: dict[tuple[int, ...], tuple] = {}
 
@@ -183,6 +197,7 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     """
     if g.vertex_count > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
+    _check_ceiling("vertex-decomposability", g.vertex_count)
     order = g.vertices
     index = {v: i for i, v in enumerate(order)}
     adj = [sum(1 << index[w] for w in g.neighborhood(v)) for v in order]

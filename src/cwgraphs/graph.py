@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 
@@ -38,9 +39,17 @@ def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(labels, key=label_key))
 
 
-def edge_key(edge: tuple[str, str]):
-    u, v = edge
-    return (label_key(u), label_key(v))
+def _vertex_order(labels: set) -> tuple[str, ...]:
+    """The labels in label order; ParseError names a label whose digit run
+    is too long for ``int`` (over 4300 digits by default)."""
+    try:
+        return sorted_labels(labels)
+    except ValueError:
+        label = max(labels, key=lambda w: max(map(len, _DIGIT_RUN.findall(w)), default=0))
+        raise ParseError(
+            f"vertex label {label[:20]!r}... ({len(label)} characters) has a digit run"
+            f" too long to order; Python converts at most {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
@@ -71,17 +80,25 @@ class Graph:
     __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        vset = set(vertices)
+        # label_key runs once per vertex: each vertex gets its rank in
+        # label order, and edges are canonicalised, deduplicated and
+        # sorted as rank pairs packed into one integer, low * n + high.
+        verts = _vertex_order(set(vertices))
+        rank = {v: i for i, v in enumerate(verts)}
+        n = len(verts)
         es = set()
         for u, v in edges:
             if u == v:
                 raise LoopEdge(f"loop edge at {u!r}")
-            for w in (u, v):
-                if w not in vset:
-                    raise UnknownVertex(f"edge endpoint {w!r} is not a declared vertex")
-            es.add(canonical_edge(u, v))
-        self._vertices = sorted_labels(vset)
-        self._edges = tuple(sorted(es, key=edge_key))
+            a = rank.get(u)
+            if a is None:
+                raise UnknownVertex(f"edge endpoint {u!r} is not a declared vertex")
+            b = rank.get(v)
+            if b is None:
+                raise UnknownVertex(f"edge endpoint {v!r} is not a declared vertex")
+            es.add(a * n + b if a < b else b * n + a)
+        self._vertices = verts
+        self._edges = tuple((verts[k // n], verts[k % n]) for k in sorted(es))
         # Built on first use, so a graph that is only stored and read as
         # vertex and edge tuples (a decomposition's support) stays small.
         # Its keys are also the vertex set that membership is checked in.

@@ -277,3 +277,69 @@ def test_text_output_is_utf8_under_a_c_locale(tmp_path, command):
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "x\u00e9" in proc.stdout.decode("utf-8")
+
+
+def test_overlong_digit_run_is_an_input_error(tmp_path, capsys):
+    # past Python's int-string limit (4300 digits by default) a digit
+    # run cannot be ordered as an integer
+    path = tmp_path / "long.edges"
+    path.write_text("a" + "1" * 5000 + " b\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert out == "" and err.startswith("input error: vertex label 'a111")
+
+
+def test_analyze_past_the_recursion_ceiling_is_a_size_guard(tmp_path):
+    # a raised --max-vertices does not lift the recursion ceiling: the
+    # complex and vertex-decomposability fields are guarded, not a
+    # RecursionError
+    path = tmp_path / "wide.edges"
+    path.write_text("a b\n" + "".join(f"vertex v{i}\n" for i in range(1, 1201)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "cwgraphs.cli", "analyze", str(path), "--max-vertices", "5000"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["partial"] is True
+    assert "recursion ceiling" in payload["unmixed_reason"]
+    assert "recursion ceiling" in payload["vertex_decomposable_reason"]
+
+
+def test_shelling_text_index_sets_are_in_order(tmp_path, capsys):
+    # G{1, 8}, not the set repr G{8, 1}: each text line's index set is
+    # the I or J list of the JSON provenance
+    out_base = tmp_path / "g"
+    code, _, _ = run(
+        capsys, "generate", "--n", "8", "--m", "1", "--max-f", "1", "--max-t", "1",
+        "--density", "1.0", "--seed", "1", "--out", str(out_base),
+    )
+    assert code == 0
+    edges = str(out_base.with_suffix(".edges"))
+    code, out, _ = run(capsys, "shelling", edges)
+    assert code == 0
+    expected = [
+        f"{p['family']}{{{', '.join(map(str, p.get('I', p.get('J'))))}}}"
+        for p in json.loads(out)["provenance"]
+    ]
+    code, text, _ = run(capsys, "shelling", edges, "--output", "text")
+    assert code == 0
+    lines = text.splitlines()
+    assert [line[: line.index("}") + 1] for line in lines] == expected
+    assert "G{1, 8}" in expected
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "shelling"])
+def test_output_does_not_depend_on_the_hash_seed(command):
+    # string hashing differs between these seeds, and with it the
+    # iteration order of every set and dict of labels
+    runs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        for path in sorted(DATA.glob("*.edges")):
+            argv = [sys.executable, "-m", "cwgraphs.cli", command, str(path)]
+            proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+            runs.setdefault(path.name, []).append((proc.returncode, proc.stdout))
+    assert len(runs) == 6
+    for name, (first, second) in runs.items():
+        assert first == second, name

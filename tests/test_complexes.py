@@ -25,7 +25,7 @@ from cwgraphs import (
     verify_shelling,
 )
 from cwgraphs import shelling
-from cwgraphs.complexes import PLUS, MINUS
+from cwgraphs.complexes import MINUS, PLUS, RECURSION_VERTEX_CEILING
 from cwgraphs.errors import (
     LengthMismatch,
     NotAPermutation,
@@ -70,6 +70,46 @@ def test_independence_complex_size_guard():
     big = Graph([f"v{i}" for i in range(30)], [])
     with pytest.raises(SizeGuard):
         independence_complex(big)
+
+
+# Each recursion below runs about one frame deep per vertex at the
+# ceiling, with no cap in the way, and must finish without RecursionError
+# under the test runner's own frames; one vertex more is refused up front.
+CEILING = RECURSION_VERTEX_CEILING
+NAMES = [f"v{i}" for i in range(CEILING + 1)]
+
+
+def test_bron_kerbosch_at_the_recursion_ceiling():
+    # one facet holding every vertex: Bron-Kerbosch adds one per frame
+    cx = independence_complex(Graph(NAMES[:CEILING], []), cap=10**6)
+    assert [len(f) for f in cx.facets] == [CEILING]
+    with pytest.raises(SizeGuard, match="recursion ceiling"):
+        independence_complex(Graph(NAMES, []), cap=10**6)
+
+
+def test_graph_vd_recursions_at_the_ceiling():
+    # K_n sheds its first vertex at every level, so rec is n frames deep
+    kn = Graph(NAMES[:CEILING], itertools.combinations(NAMES[:CEILING], 2))
+    assert is_vertex_decomposable_graph(kn, cap=10**6)[0]
+    # a ~ h, a ~ u, h ~ every w, u ~ the last w: testing a as a shedding
+    # vertex runs the domination search over all the w, one frame each
+    ws = NAMES[: CEILING - 3]
+    broom = Graph(
+        ["a", "h", "u", *ws],
+        [("a", "h"), ("a", "u"), ("u", ws[-1])] + [("h", w) for w in ws],
+    )
+    assert broom.vertex_count == CEILING
+    assert is_vertex_decomposable_graph(broom, cap=10**6)[0]
+    with pytest.raises(SizeGuard, match="recursion ceiling"):
+        is_vertex_decomposable_graph(Graph(NAMES, []), cap=10**6)
+
+
+def test_complex_vd_recursion_at_the_ceiling():
+    # n singleton facets: each level sheds one vertex into the deletion
+    points = SimplicialComplex([[v] for v in NAMES[:CEILING]])
+    assert is_vertex_decomposable(points, cap=10**6)[0]
+    with pytest.raises(SizeGuard, match="recursion ceiling"):
+        is_vertex_decomposable(SimplicialComplex([[v] for v in NAMES]), cap=10**6)
 
 
 def test_purity():

@@ -1,11 +1,20 @@
 """Graph primitives: construction, neighbourhoods, bipartitions, attachments."""
 
+import collections
 import random
 
 import pytest
 
 from corpus import G5_EDGES, STAR7_EDGES, random_graph
-from cwgraphs import Graph, from_edge_list, label_key, parse_edge_list, parse_graph_json
+from cwgraphs import (
+    Graph,
+    build_cw,
+    from_edge_list,
+    label_key,
+    parse_edge_list,
+    parse_graph_json,
+    random_cw,
+)
 from cwgraphs.errors import (
     Disconnected,
     EmptyGraph,
@@ -223,3 +232,34 @@ def test_parse_graph_json():
 def test_parse_graph_json_rejects_malformed_fields(text):
     with pytest.raises(ParseError):
         parse_graph_json(text)
+
+
+def test_construction_keys_each_vertex_once(monkeypatch):
+    # label order is computed once per distinct vertex; duplicate and
+    # reversed edges, and isolated vertices, add no key computations
+    import cwgraphs.graph as graph_module
+
+    calls = collections.Counter()
+
+    def counting_key(label):
+        calls[label] += 1
+        return label_key(label)
+
+    monkeypatch.setattr(graph_module, "label_key", counting_key)
+    text = "x10 x2\nx2 x10\nx2 y1\nx10 x2\nvertex q01\ny1 q1\n"
+    g = parse_edge_list(text)
+    assert calls == collections.Counter(g.vertices)
+    dec = random_cw(3, 4, 2, 2, 0.5, 7)
+    calls.clear()
+    built = build_cw(dec)
+    assert calls == collections.Counter(built.vertices)
+
+
+def test_overlong_digit_run_is_a_parse_error():
+    # a digit run past Python's int-string limit cannot be ordered as an
+    # integer; the label is named, shortened, in the error
+    label = "a" + "1" * 5000
+    with pytest.raises(ParseError, match=r"vertex label 'a1{19}'\.\.\. \(5001 characters\)"):
+        parse_edge_list(f"{label} b\n")
+    with pytest.raises(ParseError):
+        Graph(["b", label], [])

@@ -1,7 +1,8 @@
-"""Property tests: recognition against the brute-force matching oracle,
-the independence complex and both vertex-decomposability tests against
-the brute-force independent-set oracle and each other, and vertex
-decomposability against the exhaustive shelling search."""
+"""Property tests: graph construction against a reference written here,
+recognition against the brute-force matching oracle, the independence
+complex and both vertex-decomposability tests against the brute-force
+independent-set oracle and each other, and vertex decomposability
+against the exhaustive shelling search."""
 
 import itertools
 
@@ -24,10 +25,63 @@ from cwgraphs import (  # noqa: E402
     oracle_shelling_exists,
     random_cw,
 )
+from cwgraphs.errors import LoopEdge, UnknownVertex  # noqa: E402
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
 
 MAX_EDGES = 20  # the oracle's default edge budget
 MAX_FACETS = 12  # the oracle's default facet budget
+
+
+# Labels with digit runs, leading zeros that tie numerically (x01, x1),
+# non-ASCII letters and a non-ASCII digit, which also orders as an integer.
+LABELS = st.one_of(
+    st.sampled_from(["x1", "x01", "x001", "x2", "x10", "1", "01", "10", "y", "\u00e9"]),
+    st.text(alphabet="x0129\u00e9\u0663_", min_size=1, max_size=5),
+)
+
+
+def reference_graph(vertices, edges):
+    """Vertex and edge tuples by definition: labels sorted by label_key,
+    each edge with its smaller endpoint first, edges sorted by the keys
+    of their endpoints; duplicates and reversals collapse."""
+    verts = tuple(sorted(set(vertices), key=label_key))
+    canon = {(u, v) if label_key(u) < label_key(v) else (v, u) for u, v in edges}
+    return verts, tuple(sorted(canon, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+
+
+def reference_error(vertices, edges):
+    """The first bad edge decides: a loop before an unknown endpoint,
+    the first endpoint before the second."""
+    for u, v in edges:
+        if u == v:
+            return LoopEdge, f"loop edge at {u!r}"
+        for w in (u, v):
+            if w not in vertices:
+                return UnknownVertex, f"edge endpoint {w!r} is not a declared vertex"
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_construction_matches_reference(data):
+    vertices = data.draw(st.lists(LABELS, min_size=1, max_size=12))
+    known = sorted(set(vertices))
+    # edges between declared vertices, duplicated and reversed at will,
+    # and sometimes a label that is not declared
+    endpoint = st.sampled_from(known)
+    if data.draw(st.booleans()):
+        endpoint = st.one_of(endpoint, LABELS)
+    edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=20))
+    error = reference_error(set(vertices), edges)
+    if error is None:
+        g = Graph(vertices, edges)
+        event("built")
+        assert (g.vertices, g.edges) == reference_graph(vertices, edges)
+    else:
+        event(error[0].__name__)
+        with pytest.raises(error[0]) as exc:
+            Graph(vertices, edges)
+        assert str(exc.value) == error[1]
 
 
 @st.composite

@@ -18,6 +18,7 @@ from .errors import (
     CWGraphError,
     EmptyGraph,
     InvalidParams,
+    LoopEdge,
     NotCameronWalker,
     NotCompleteBipartiteSupport,
     ParseError,
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         return handler(args)
-    except (ParseError, EmptyGraph, InvalidParams) as exc:
+    except (ParseError, LoopEdge, EmptyGraph, InvalidParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SizeGuard, BudgetExceeded) as exc:

@@ -58,6 +58,15 @@ class SimplicialComplex:
         else:
             self.vertices = frozenset(vertices) | support
 
+    @classmethod
+    def _from_maximal(cls, facets: tuple, vertices: frozenset) -> "SimplicialComplex":
+        """Wrap facets that are already maximal, distinct and in
+        ``_facet_key`` order, on a ground set containing them all."""
+        cx = cls.__new__(cls)
+        cx.facets = facets
+        cx.vertices = vertices
+        return cx
+
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -132,8 +141,10 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
         raise SizeGuard(f"independence-complex cap is {cap} vertices, graph has {g.vertex_count}")
     _check_ceiling("independence-complex", g.vertex_count)
     adj = {v: set(g.neighborhood(v)) for v in g.vertices}
-    facets = _max_ind_sets(g.vertices, adj)
-    return SimplicialComplex(facets, vertices=g.vertices)
+    # Bron-Kerbosch reports each maximal independent set once, so no
+    # subset filter is needed; only the order is restored.
+    facets = sorted(_max_ind_sets(g.vertices, adj), key=_facet_key)
+    return SimplicialComplex._from_maximal(tuple(facets), frozenset(g.vertices))
 
 
 # -- vertex decomposability -----------------------------------------------

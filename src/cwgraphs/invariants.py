@@ -36,6 +36,11 @@ from .structure import (
     classify,
 )
 
+# The im = m family.  Every member is vertex decomposable: a Cameron-Walker
+# graph sheds each left vertex x, whose leaf z has N[z] inside N[x], and
+# stars and star triangles are chordal (Woodroofe 2009).
+_IM_EQUALS_M = (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER)
+
 
 def minimal_vertex_covers(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     """All minimal vertex covers: complements of the independence facets."""
@@ -178,7 +183,7 @@ def regularity_cw(g: Graph) -> int:
     Cameron-Walker graph, the searched value on stars and star
     triangles."""
     cls = classify(g)
-    if cls.tag not in (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER):
+    if cls.tag not in _IM_EQUALS_M:
         raise NotInFamily(f"regularity is only pinned down for im = m graphs, got {cls.tag}")
     dec = cls.decomposition
     if dec is not None:
@@ -268,8 +273,13 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
 
     Each artifact is computed once: m and im come from the certificate
     of a Cameron-Walker graph (searched only on other graphs), and
-    unmixedness, the cover cardinalities and i(G) are all read off the
-    facet sizes of one independence complex.
+    the cover cardinalities and i(G) are read off the facet sizes of one
+    independence complex.  The theorems give the rest at any size: in
+    the im = m family every graph is vertex decomposable, hence
+    sequentially Cohen-Macaulay, and a Cameron-Walker graph is unmixed
+    iff Cohen-Macaulay.  Where the complex fits the cap its purity must
+    agree with the Cohen-Macaulay shape, or InvalidDecomposition is
+    raised.
     """
     rep = InvariantReport()
 
@@ -301,6 +311,12 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
 
     if dec is not None:
         rep.cm = is_cm_cw(dec)
+        if rep.unmixed is not None and rep.unmixed != rep.cm:
+            raise InvalidDecomposition(
+                f"independence complex purity {rep.unmixed} contradicts unmixed = CM = {rep.cm}"
+            )
+        rep.unmixed = rep.cm
+        rep.reasons.pop("unmixed", None)
         if rep.cm:
             rep.cm_type = cm_type_cw(dec, cap=cap)
             if dec.n + 2 * dec.m > cap:
@@ -313,7 +329,10 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
         for name in ("cm", "cm_type", "gorenstein"):
             rep.reasons[name] = "only computed for Cameron-Walker graphs"
 
-    guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g, cap=cap)[0])
+    if cls.tag in _IM_EQUALS_M:
+        rep.vertex_decomposable = True
+    else:
+        guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g, cap=cap)[0])
     if rep.vertex_decomposable:
         rep.sequentially_cm = True
     else:
@@ -328,7 +347,7 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     else:
         rep.reasons["pd"] = "only computed for Cameron-Walker graphs"
 
-    if cls.tag in (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER):
+    if cls.tag in _IM_EQUALS_M:
         if rep.m is not None and rep.im is not None:
             rep.reg = rep.m
         else:

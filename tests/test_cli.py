@@ -184,6 +184,34 @@ def test_analyze_notes_a_formula_only_cm_type(capsys):
     assert keys.index("cm_type_reason") == keys.index("cm_type") + 1
 
 
+def test_capped_analyze_takes_theorem_fields_from_the_certificate(capsys):
+    # Above the cap the complex is not built, but the decomposition still
+    # gives unmixed = CM and vertex decomposability; the fields that need
+    # the facet sizes stay null with their reasons.
+    code, out, _ = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["partial"] is True
+    for name in ("unmixed", "vertex_decomposable", "sequentially_cm"):
+        assert payload[name] is True
+        assert f"{name}_reason" not in payload
+    for name in ("cover_cardinalities", "i_g", "pd"):
+        assert payload[name] is None
+        assert "cap is 2 vertices" in payload[f"{name}_reason"]
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [("edgelist", "a b\na a\n"), ("json", '{"edges": [["a", "b"], ["a", "a"]]}')],
+)
+def test_loop_edge_is_an_input_error(tmp_path, capsys, fmt, text):
+    path = tmp_path / "loop.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path), "--format", fmt)
+    assert code == 1
+    assert out == "" and err == "input error: loop edge at 'a'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

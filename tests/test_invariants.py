@@ -208,6 +208,39 @@ def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
     rep = full_report(build_cw(big))
     assert rep.m == rep.im == rep.reg == big.n + big.t
     assert rep.partial and rep.i_g is None and "cap is 26" in rep.reasons["i_g"]
+    # above the cap the theorems still give unmixed = CM and VD = SCM = true
+    assert rep.unmixed is rep.cm is False
+    assert rep.vertex_decomposable is rep.sequentially_cm is True
+    for name in ("unmixed", "vertex_decomposable", "sequentially_cm"):
+        assert name not in rep.reasons
+    for name in ("cover_cardinalities", "i_g", "pd"):
+        assert getattr(rep, name) is None and "cap is 26" in rep.reasons[name]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [G5_EDGES, P5_EDGES, [("c", f"l{i}") for i in range(1, 6)], STAR7_EDGES],
+    ids=["cw-cm", "cw-mixed", "star", "star-triangle"],
+)
+@pytest.mark.parametrize("cap", [26, 2])
+def test_im_equals_m_family_is_vertex_decomposable_by_theorem(monkeypatch, edges, cap):
+    def no_search(g, cap=None):
+        raise AssertionError("vertex-decomposability search on an im = m graph")
+
+    monkeypatch.setattr(invariants, "is_vertex_decomposable_graph", no_search)
+    rep = full_report(from_edge_list(edges), cap=cap)
+    assert rep.vertex_decomposable is rep.sequentially_cm is True
+    assert rep.partial is (cap == 2)
+
+
+@pytest.mark.parametrize("edges", [G5_EDGES, P5_EDGES])
+def test_purity_disagreeing_with_the_cm_shape_raises(monkeypatch, edges):
+    # unmixed iff CM on Cameron-Walker graphs: a wrong shape verdict is
+    # caught by the facet sizes of the complex built under the cap
+    truth = is_cm_cw(decompose(from_edge_list(edges)))
+    monkeypatch.setattr(invariants, "is_cm_cw", lambda dec: not truth)
+    with pytest.raises(InvalidDecomposition, match="purity"):
+        full_report(from_edge_list(edges))
 
 
 def test_full_report_builds_one_independence_complex(monkeypatch):

@@ -1,8 +1,9 @@
 """Property tests: graph construction against a reference written here,
 recognition against the brute-force matching oracle, the independence
 complex and both vertex-decomposability tests against the brute-force
-independent-set oracle and each other, and vertex decomposability
-against the exhaustive shelling search."""
+independent-set oracle and each other, vertex decomposability against
+the exhaustive shelling search, and the theorems full_report relies on
+against the searches."""
 
 import itertools
 
@@ -17,6 +18,7 @@ from cwgraphs import (  # noqa: E402
     build_cw,
     classify,
     independence_complex,
+    is_cm_cw,
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
     label_key,
@@ -25,8 +27,10 @@ from cwgraphs import (  # noqa: E402
     oracle_shelling_exists,
     random_cw,
 )
+from cwgraphs.complexes import COMPLEX_VERTEX_CAP  # noqa: E402
 from cwgraphs.errors import LoopEdge, UnknownVertex  # noqa: E402
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
+from corpus import star_triangle  # noqa: E402
 
 MAX_EDGES = 20  # the oracle's default edge budget
 MAX_FACETS = 12  # the oracle's default facet budget
@@ -165,3 +169,40 @@ def test_vertex_decomposable_implies_a_shelling(cx):
         return
     event("vertex decomposable, " + ("pure" if cx.is_pure() else "non-pure"))
     assert oracle_shelling_exists(cx)[0]
+
+
+@st.composite
+def im_equals_m_graph(draw):
+    """A Cameron-Walker graph within the complex cap with its
+    decomposition, or a star or star triangle with None."""
+    kind = draw(st.sampled_from(["cw", "cw", "star", "star triangle"]))
+    if kind == "star":
+        k = draw(st.integers(1, 12))
+        return Graph([f"v{i}" for i in range(k + 1)], [("v0", f"v{i}") for i in range(1, k + 1)]), None
+    if kind == "star triangle":
+        return star_triangle(draw(st.integers(1, 6))), None
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    max_f, max_t = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    assume(n > 1 or max_t > 0)
+    dec = random_cw(n, m, max_f, max_t, draw(st.floats(0, 1)), draw(st.integers(0, 2**16)))
+    assume(dec.vertex_count() <= COMPLEX_VERTEX_CAP)
+    return build_cw(dec), dec
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(im_equals_m_graph())
+def test_full_report_theorems_agree_with_the_searches(case):
+    # full_report takes vertex decomposability of the whole im = m family,
+    # and unmixed = CM on Cameron-Walker graphs, from the theorems
+    g, dec = case
+    assert classify(g).tag != TAG_OTHER
+    assert is_vertex_decomposable_graph(g)[0]
+    if dec is not None:
+        pure = independence_complex(g).is_pure()
+        event(f"pure: {pure}")
+        assert pure == is_cm_cw(dec)

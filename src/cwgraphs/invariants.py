@@ -195,12 +195,14 @@ def regularity_cw(g: Graph) -> int:
     return m
 
 
+# The report's fields in JSON order; cover_size_counts is written out
+# expanded, as cover_cardinalities.
 _REPORT_FIELDS = (
     "im",
     "m",
     "classification",
     "unmixed",
-    "cover_cardinalities",
+    "cover_size_counts",
     "cm",
     "cm_type",
     "gorenstein",
@@ -215,7 +217,13 @@ _REPORT_FIELDS = (
 class InvariantReport(Record):
     """All invariants of one graph; inapplicable fields are None with a
     reason recorded under the same name.  A field with a value may carry
-    a reason too, as a note on how the value was obtained."""
+    a reason too, as a note on how the value was obtained.
+
+    ``cover_size_counts`` holds the minimal vertex covers as ascending
+    ``(cover_size, count)`` pairs, one per size rather than one entry
+    per cover; its reason is recorded, and its JSON written, under
+    ``cover_cardinalities``.
+    """
 
     __slots__ = (*_REPORT_FIELDS, "reasons", "partial")
 
@@ -225,7 +233,7 @@ class InvariantReport(Record):
         m: int | None = None,
         classification: Classification | None = None,
         unmixed: bool | None = None,
-        cover_cardinalities: tuple[int, ...] | None = None,
+        cover_size_counts: tuple[tuple[int, int], ...] | None = None,
         cm: bool | None = None,
         cm_type: int | None = None,
         gorenstein: bool | None = None,
@@ -241,7 +249,7 @@ class InvariantReport(Record):
         self.m = m
         self.classification = classification
         self.unmixed = unmixed
-        self.cover_cardinalities = cover_cardinalities
+        self.cover_size_counts = cover_size_counts
         self.cm = cm
         self.cm_type = cm_type
         self.gorenstein = gorenstein
@@ -253,14 +261,23 @@ class InvariantReport(Record):
         self.reasons = {} if reasons is None else reasons
         self.partial = partial
 
+    @property
+    def cover_cardinalities(self) -> tuple[int, ...] | None:
+        """The size of every minimal vertex cover, ascending."""
+        if self.cover_size_counts is None:
+            return None
+        return tuple(size for size, count in self.cover_size_counts for _ in range(count))
+
     def to_json(self) -> str:
         payload: dict = {}
         for name in _REPORT_FIELDS:
             value = getattr(self, name)
             if name == "classification" and value is not None:
-                value = json.loads(value.to_json())
-            if name == "cover_cardinalities" and value is not None:
-                value = list(value)
+                value = value.to_dict()
+            elif name == "cover_size_counts":
+                name = "cover_cardinalities"
+                if value is not None:
+                    value = list(self.cover_cardinalities)
             payload[name] = value
             if name in self.reasons:
                 payload[f"{name}_reason"] = self.reasons[name]
@@ -273,13 +290,14 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
 
     Each artifact is computed once: m and im come from the certificate
     of a Cameron-Walker graph (searched only on other graphs), and
-    the cover cardinalities and i(G) are read off the facet sizes of one
-    independence complex.  The theorems give the rest at any size: in
-    the im = m family every graph is vertex decomposable, hence
-    sequentially Cohen-Macaulay, and a Cameron-Walker graph is unmixed
-    iff Cohen-Macaulay.  Where the complex fits the cap its purity must
-    agree with the Cohen-Macaulay shape, or InvalidDecomposition is
-    raised.
+    the cover size counts and i(G) are counted from the facet sizes of
+    one independence complex.  The theorems give the rest at any size:
+    in the im = m family every graph is vertex decomposable, hence
+    sequentially Cohen-Macaulay, a Cameron-Walker graph is unmixed iff
+    Cohen-Macaulay, a star iff it has at most two vertices and a star
+    triangle iff it is one triangle.  Where the complex fits the cap its
+    purity must agree with that verdict, or InvalidDecomposition
+    (Cameron-Walker) or NotInFamily (star, star triangle) is raised.
     """
     rep = InvariantReport()
 
@@ -299,15 +317,30 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
         guarded("im", lambda: induced_matching_number(g)[0])
 
     try:
-        sizes = [len(f) for f in independence_complex(g, cap=cap).facets]
+        facets = independence_complex(g, cap=cap).facets
     except SizeGuard as exc:
         for name in ("unmixed", "cover_cardinalities", "i_g"):
             rep.reasons[name] = str(exc)
         rep.partial = True
     else:
-        rep.unmixed = len(set(sizes)) <= 1
-        rep.cover_cardinalities = tuple(sorted(g.vertex_count - s for s in sizes))
-        rep.i_g = min(sizes)
+        counts: dict[int, int] = {}
+        for f in facets:
+            counts[len(f)] = counts.get(len(f), 0) + 1
+        rep.unmixed = len(counts) <= 1
+        rep.cover_size_counts = tuple(sorted((g.vertex_count - s, c) for s, c in counts.items()))
+        rep.i_g = min(counts)
+
+    if cls.tag in (TAG_STAR, TAG_STAR_TRIANGLE):
+        # K_{1,k} has the covers {centre} and the k leaves; t triangles at
+        # a centre have covers of sizes 2t and t + 1.
+        unmixed = g.vertex_count <= 2 if cls.tag == TAG_STAR else g.vertex_count == 3
+        if rep.unmixed is not None and rep.unmixed != unmixed:
+            raise NotInFamily(
+                f"independence complex purity {rep.unmixed} contradicts the closed form"
+                f" unmixed = {unmixed} of a {cls.tag} on {g.vertex_count} vertices"
+            )
+        rep.unmixed = unmixed
+        rep.reasons.pop("unmixed", None)
 
     if dec is not None:
         rep.cm = is_cm_cw(dec)

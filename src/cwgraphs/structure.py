@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import Disconnected, InvalidDecomposition, NotCameronWalker
-from .graph import Graph, canonical_edge, label_key, sorted_labels, two_coloring
+from .graph import Graph, label_key, sorted_labels, two_coloring
 from .records import FrozenRecord, set_field
 
 TAG_STAR = "Star"
@@ -160,15 +160,18 @@ class CWDecomposition(FrozenRecord):
             },
         )
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The payload that ``to_json`` writes."""
+        return {
             "left": list(self.left),
             "right": list(self.right),
             "support_edges": [list(e) for e in self.support.edges],
             "leaves": {x: len(self.leaf_map[x]) for x in self.left},
             "triangles": {y: len(self.triangle_map[y]) for y in self.right},
         }
-        return json.dumps(payload)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 class Classification(FrozenRecord):
@@ -181,13 +184,17 @@ class Classification(FrozenRecord):
         set_field(self, "decomposition", decomposition)
         set_field(self, "reason", reason)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The payload that ``to_json`` writes."""
         payload: dict = {"tag": self.tag}
         if self.reason is not None:
             payload["reason"] = self.reason
         if self.decomposition is not None:
-            payload["decomposition"] = json.loads(self.decomposition.to_json())
-        return json.dumps(payload)
+            payload["decomposition"] = self.decomposition.to_dict()
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _is_star(g: Graph) -> bool:
@@ -248,9 +255,14 @@ def _try_decompose(g: Graph):
         if u not in leaf_at:
             return None, f"leaf {z!r} hangs off a stripped vertex"
         leaf_at[u].append(z)
+    # Each triangle's pair is stored as g's own edge tuple (a, b): the
+    # triangles come sorted by (c, a, b) with a before b, so every list
+    # is already in label order, and no new tuple is kept per pair.
+    partner = {a: b for _, a, b in triangles}
+    edge_at = {e[0]: e for e in g.edges if partner.get(e[0]) == e[1]}
     tri_at: dict[str, list[tuple[str, str]]] = {v: [] for v in support_vertices}
-    for c, a, b in triangles:
-        tri_at[c].append((a, b))
+    for c, a, _ in triangles:
+        tri_at[c].append(edge_at[a])
 
     def orientation_ok(left_side, right_side) -> bool:
         return (
@@ -275,11 +287,7 @@ def _try_decompose(g: Graph):
         sorted(right_side, key=lambda y: (0 if tri_at[y] else 1, label_key(y)))
     )
     leaf_map = {x: sorted_labels(leaf_at[x]) for x in left}
-    triangle_map = {
-        y: tuple(sorted((canonical_edge(a, b) for a, b in tri_at[y]),
-                        key=lambda p: (label_key(p[0]), label_key(p[1]))))
-        for y in right
-    }
+    triangle_map = {y: tuple(tri_at[y]) for y in right}
     support = g.induced_subgraph(support_vertices)
     dec = CWDecomposition(support, left, right, leaf_map, triangle_map)
     dec.validate()

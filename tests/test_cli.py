@@ -200,6 +200,18 @@ def test_capped_analyze_takes_theorem_fields_from_the_certificate(capsys):
         assert "cap is 2 vertices" in payload[f"{name}_reason"]
 
 
+def test_capped_analyze_takes_star_triangle_unmixed_from_the_closed_form(capsys):
+    # three triangles at one vertex: covers of sizes 4 and 6, so mixed,
+    # which the closed form gives without the complex
+    code, out, _ = run(capsys, "analyze", str(DATA / "star7.edges"), "--max-vertices", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["classification"] == {"tag": "StarTriangle"}
+    assert payload["unmixed"] is False and "unmixed_reason" not in payload
+    assert payload["cover_cardinalities"] is None
+    assert "cap is 2 vertices" in payload["cover_cardinalities_reason"]
+
+
 @pytest.mark.parametrize(
     "fmt, text",
     [("edgelist", "a b\na a\n"), ("json", '{"edges": [["a", "b"], ["a", "a"]]}')],

@@ -233,6 +233,41 @@ def test_im_equals_m_family_is_vertex_decomposable_by_theorem(monkeypatch, edges
     assert rep.partial is (cap == 2)
 
 
+@pytest.mark.parametrize(
+    "edges, unmixed",
+    [
+        ([("c", "l1")], True),
+        ([("c", "l1"), ("c", "l2")], False),
+        ([("c", f"l{i}") for i in range(1, 6)], False),
+        (STAR7_EDGES[:3], True),
+        (STAR7_EDGES[:6], False),
+        (STAR7_EDGES, False),
+    ],
+)
+@pytest.mark.parametrize("cap", [26, 2])
+def test_star_and_star_triangle_unmixed_at_any_size(edges, unmixed, cap):
+    # a star is unmixed iff it has at most two vertices, a star triangle
+    # iff it is a single triangle; above the cap the closed form decides
+    rep = full_report(from_edge_list(edges), cap=cap)
+    assert rep.unmixed is unmixed and "unmixed" not in rep.reasons
+    if cap == 26:
+        assert (len(set(rep.cover_cardinalities)) == 1) is unmixed
+
+
+def test_single_vertex_star_is_unmixed():
+    rep = full_report(from_edge_list([], isolated=["v"]), cap=0)
+    assert rep.classification.tag == "Star" and rep.unmixed is True
+
+
+@pytest.mark.parametrize("edges", [[("c", f"l{i}") for i in range(1, 6)], STAR7_EDGES])
+def test_purity_disagreeing_with_the_star_closed_form_raises(monkeypatch, edges):
+    # a pure complex handed to the report of a mixed star (triangle)
+    edge = from_edge_list([("a", "b")])
+    monkeypatch.setattr(invariants, "independence_complex", lambda g, cap: independence_complex(edge))
+    with pytest.raises(NotInFamily, match="closed form"):
+        full_report(from_edge_list(edges))
+
+
 @pytest.mark.parametrize("edges", [G5_EDGES, P5_EDGES])
 def test_purity_disagreeing_with_the_cm_shape_raises(monkeypatch, edges):
     # unmixed iff CM on Cameron-Walker graphs: a wrong shape verdict is

@@ -2,8 +2,9 @@
 recognition against the brute-force matching oracle, the independence
 complex and both vertex-decomposability tests against the brute-force
 independent-set oracle and each other, vertex decomposability against
-the exhaustive shelling search, and the theorems full_report relies on
-against the searches."""
+the exhaustive shelling search, the theorems full_report relies on
+against the searches, and the report's cover size counts against the
+complex and the oracle."""
 
 import itertools
 
@@ -16,7 +17,9 @@ from cwgraphs import (  # noqa: E402
     Graph,
     SimplicialComplex,
     build_cw,
+    OracleBudget,
     classify,
+    full_report,
     independence_complex,
     is_cm_cw,
     is_vertex_decomposable,
@@ -206,3 +209,34 @@ def test_full_report_theorems_agree_with_the_searches(case):
         pure = independence_complex(g).is_pure()
         event(f"pure: {pure}")
         assert pure == is_cm_cw(dec)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), near_cameron_walker(), im_equals_m_graph().map(lambda case: case[0])))
+def test_report_counts_and_triangle_pairs(g):
+    # cover_size_counts expands to the sorted cover sizes of the complex,
+    # and of the brute-force facets within the oracle's vertex budget
+    rep = full_report(g)
+    sizes = tuple(sorted(g.vertex_count - len(f) for f in independence_complex(g).facets))
+    assert rep.cover_cardinalities == sizes
+    assert [s for s, _ in rep.cover_size_counts] == sorted(set(sizes))
+    assert all(c > 0 for _, c in rep.cover_size_counts)
+    if g.vertex_count <= OracleBudget().max_vertices:
+        event("within the oracle budget")
+        oracle = sorted(g.vertex_count - len(f) for f in oracle_max_independent_sets(g))
+        assert rep.cover_cardinalities == tuple(oracle)
+    # each triangle pair is the graph's own edge tuple, pairs in label order
+    dec = classify(g).decomposition
+    if dec is None:
+        return
+    event(f"{dec.t} triangles")
+    for y in dec.right:
+        pairs = dec.triangle_map[y]
+        assert all(any(p is e for e in g.edges) for p in pairs)
+        keys = [(label_key(a), label_key(b)) for a, b in pairs]
+        assert all(a < b for a, b in keys) and keys == sorted(keys)

@@ -103,6 +103,16 @@ def test_invariant_report_is_mutable_and_unhashable():
         hash(rep)
 
 
+def test_invariant_report_stores_cover_size_counts():
+    rep = InvariantReport(cover_size_counts=((2, 3), (4, 1)))
+    assert rep.cover_cardinalities == (2, 2, 2, 4)
+    assert InvariantReport().cover_cardinalities is None
+    assert "cover_size_counts=((2, 3), (4, 1))" in repr(rep)
+    with pytest.raises(AttributeError):
+        rep.cover_cardinalities = (2, 2, 2, 4)
+    assert '"cover_cardinalities": [2, 2, 2, 4]' in rep.to_json()
+
+
 def test_cli_import_loads_only_what_analyze_runs():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

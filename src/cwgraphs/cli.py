@@ -76,20 +76,13 @@ def cmd_analyze(args) -> int:
         raise InvalidParams(f"--max-vertices must be at least 0, got {args.max_vertices}")
     g = _read_graph(args.path, args.format)
     report = invariants.full_report(g, cap=args.max_vertices)
-    if args.output == "text":
-        _emit(json.loads(report.to_json()), "text")
-    else:
-        print(report.to_json())
+    _emit(report.to_dict(), args.output)
     return EXIT_BUDGET if report.partial else EXIT_OK
 
 
 def cmd_classify(args) -> int:
     g = _read_graph(args.path, args.format)
-    cls = structure.classify(g)
-    if args.output == "text":
-        _emit(json.loads(cls.to_json()), "text")
-    else:
-        print(cls.to_json())
+    _emit(structure.classify(g).to_dict(), args.output)
     return EXIT_OK
 
 

@@ -268,7 +268,8 @@ class InvariantReport(Record):
             return None
         return tuple(size for size, count in self.cover_size_counts for _ in range(count))
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The payload that ``to_json`` writes."""
         payload: dict = {}
         for name in _REPORT_FIELDS:
             value = getattr(self, name)
@@ -282,7 +283,10 @@ class InvariantReport(Record):
             if name in self.reasons:
                 payload[f"{name}_reason"] = self.reasons[name]
         payload["partial"] = self.partial
-        return json.dumps(payload)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:

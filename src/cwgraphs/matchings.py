@@ -1,14 +1,16 @@
 """Exact matching number m(G) and induced matching number im(G).
 
-Both are computed by exhaustive branch-and-bound with memoization; the
-returned witnesses are the lexicographically smallest optimal edge sets
-in canonical edge order, so outputs are reproducible.
+Both come from one memoized search over edge masks that differs only
+in which edges conflict; the returned witnesses are the
+lexicographically smallest optimal edge sets in canonical edge order,
+so outputs are reproducible.
 """
 
 from __future__ import annotations
 
+from .complexes import _bits, _check_ceiling
 from .errors import LengthMismatch, NotAnEdge, SizeGuard
-from .graph import Graph, canonical_edge, label_key
+from .graph import Graph, canonical_edge
 from .records import FrozenRecord, set_field
 
 MATCHING_VERTEX_CAP = 64
@@ -64,110 +66,80 @@ def is_induced_matching(g: Graph, edges) -> bool:
     return True
 
 
+def _max_edge_set(g: Graph, induced: bool) -> tuple[int, tuple[Edge, ...]]:
+    """Largest set of pairwise compatible edges plus the canonical witness.
+
+    Two edges conflict when they share a vertex or, for induced
+    matchings, when an edge of g joins them, i.e. when one has an
+    endpoint in N[u] + N[v] of the other, e = (u, v); the conflict masks
+    are built from per-vertex edge masks.  The memoized search branches
+    at the smallest vertex v that still has an available edge: either no
+    edge at v is taken, or one of them is, tried in canonical order.
+    Both branches remove v's edges, so the recursion is at most one
+    level per vertex that has an edge.  The witness keeps, at each such v, the first edge
+    that lies in an optimum, so it is the lexicographically least
+    optimal edge set in canonical edge order.
+    """
+    edges = g.edges
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    at = [0] * len(rank)
+    for e, (u, v) in enumerate(edges):
+        at[rank[u]] |= 1 << e
+        at[rank[v]] |= 1 << e
+    _check_ceiling("induced-matching" if induced else "matching", sum(1 for a in at if a))
+    near = at
+    if induced:
+        # the edges meeting N[w] rather than w
+        near = at[:]
+        for u, v in edges:
+            near[rank[u]] |= at[rank[v]]
+            near[rank[v]] |= at[rank[u]]
+    conflict = [near[rank[u]] | near[rank[v]] for u, v in edges]
+    # Edges are sorted by their smaller endpoint, so the lowest available
+    # edge starts at the smallest vertex that still has one.
+    starts_at = [at[rank[u]] for u, _ in edges]
+    memo = {0: 0}
+
+    def best(avail: int) -> int:
+        got = memo.get(avail)
+        if got is None:
+            first = avail & starts_at[(avail & -avail).bit_length() - 1]
+            got = best(avail & ~first)
+            for e in _bits(first):
+                got = max(got, 1 + best(avail & ~conflict[e]))
+            memo[avail] = got
+        return got
+
+    avail = (1 << len(edges)) - 1
+    size = best(avail)
+    witness: list[Edge] = []
+    while avail:
+        first = avail & starts_at[(avail & -avail).bit_length() - 1]
+        target = best(avail)
+        for e in _bits(first):
+            if 1 + best(avail & ~conflict[e]) == target:
+                witness.append(edges[e])
+                avail &= ~conflict[e]
+                break
+        else:
+            avail &= ~first
+    if len(witness) != size:
+        raise LengthMismatch(f"witness has {len(witness)} edges, the optimum is {size}")
+    return size, tuple(witness)
+
+
 def matching_number(g: Graph, cap: int = MATCHING_VERTEX_CAP) -> tuple[int, tuple[Edge, ...]]:
     """Exact maximum matching size plus the canonical witness."""
     if g.vertex_count > cap:
         raise SizeGuard(f"matching cap is {cap} vertices, graph has {g.vertex_count}")
-    order = g.vertices
-    adj = {v: g.neighborhood(v) for v in order}
-    memo: dict[frozenset, int] = {}
-
-    def first_live(verts: frozenset) -> str | None:
-        for v in order:
-            if v in verts and adj[v] & verts:
-                return v
-        return None
-
-    def best(verts: frozenset) -> int:
-        got = memo.get(verts)
-        if got is not None:
-            return got
-        v = first_live(verts)
-        if v is None:
-            memo[verts] = 0
-            return 0
-        res = best(verts - {v})
-        for u in adj[v] & verts:
-            res = max(res, 1 + best(verts - {v, u}))
-        memo[verts] = res
-        return res
-
-    verts = frozenset(order)
-    size = best(verts)
-    # Greedy reconstruction: matching the smallest live vertex along its
-    # smallest workable neighbour yields the lex-least optimal edge set.
-    witness: list[Edge] = []
-    while True:
-        v = first_live(verts)
-        if v is None:
-            break
-        target = best(verts)
-        chosen = None
-        for u in sorted(adj[v] & verts, key=label_key):
-            if 1 + best(verts - {v, u}) == target:
-                chosen = u
-                break
-        if chosen is None:
-            verts = verts - {v}
-        else:
-            witness.append(canonical_edge(v, chosen))
-            verts = verts - {v, chosen}
-    if len(witness) != size:
-        raise LengthMismatch(f"witness has {len(witness)} edges, the optimum is {size}")
-    return size, tuple(witness)
+    return _max_edge_set(g, induced=False)
 
 
 def induced_matching_number(g: Graph, cap: int = INDUCED_EDGE_CAP) -> tuple[int, tuple[Edge, ...]]:
-    """Exact maximum induced matching size plus the canonical witness.
-
-    Branch and bound over edges in canonical order: choosing an edge
-    discards every edge meeting its closed neighbourhood.
-    """
+    """Exact maximum induced matching size plus the canonical witness."""
     if g.edge_count > cap:
         raise SizeGuard(f"induced-matching cap is {cap} edges, graph has {g.edge_count}")
-    edges = g.edges
-    k = len(edges)
-    compatible: list[frozenset[int]] = []
-    for i in range(k):
-        a, b = edges[i]
-        ok = set()
-        for j in range(k):
-            if j == i:
-                continue
-            c, d = edges[j]
-            if {a, b} & {c, d}:
-                continue
-            if any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
-                continue
-            ok.add(j)
-        compatible.append(frozenset(ok))
-
-    memo: dict[frozenset, int] = {}
-
-    def best(avail: frozenset) -> int:
-        got = memo.get(avail)
-        if got is not None:
-            return got
-        if not avail:
-            return 0
-        i = min(avail)
-        res = max(best(avail - {i}), 1 + best(avail & compatible[i]))
-        memo[avail] = res
-        return res
-
-    avail = frozenset(range(k))
-    size = best(avail)
-    witness: list[Edge] = []
-    while avail:
-        i = min(avail)
-        if 1 + best(avail & compatible[i]) == best(avail):
-            witness.append(edges[i])
-            avail = avail & compatible[i]
-        else:
-            avail = avail - {i}
-    if len(witness) != size:
-        raise LengthMismatch(f"witness has {len(witness)} edges, the optimum is {size}")
-    return size, tuple(witness)
+    return _max_edge_set(g, induced=True)
 
 
 def matching_stats(g: Graph) -> MatchingStats:

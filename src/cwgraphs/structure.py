@@ -336,37 +336,38 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     return bound
 
 
+def _recognize(g: Graph) -> tuple[Classification, str | None]:
+    """The classification, plus why the graph is not Cameron-Walker (None
+    when it is).  A successful structural reading is certified."""
+    if not g.is_connected():
+        return Classification(TAG_OTHER, reason="disconnected"), "graph is disconnected"
+    if _is_star(g):
+        return Classification(TAG_STAR), "graph is a star"
+    if _is_star_triangle(g):
+        return Classification(TAG_STAR_TRIANGLE), "graph is a star triangle"
+    dec, reason = _try_decompose(g)
+    if dec is None:
+        return Classification(TAG_OTHER, reason="im!=m"), reason
+    certify_cw(g, dec)
+    return Classification(TAG_CAMERON_WALKER, decomposition=dec), None
+
+
 def classify(g: Graph) -> Classification:
     """Star / StarTriangle / CameronWalker / Other, with certificate.
 
     A successful Cameron-Walker reading is certified by ``certify_cw``,
     which proves im(G) = m(G) (the defining equality) in linear time.
     """
-    if not g.is_connected():
-        return Classification(TAG_OTHER, reason="disconnected")
-    if _is_star(g):
-        return Classification(TAG_STAR)
-    if _is_star_triangle(g):
-        return Classification(TAG_STAR_TRIANGLE)
-    dec, _reason = _try_decompose(g)
-    if dec is None:
-        return Classification(TAG_OTHER, reason="im!=m")
-    certify_cw(g, dec)
-    return Classification(TAG_CAMERON_WALKER, decomposition=dec)
+    return _recognize(g)[0]
 
 
 def decompose(g: Graph) -> CWDecomposition:
-    """The structural certificate of a Cameron-Walker graph."""
-    if not g.is_connected():
-        raise NotCameronWalker("graph is disconnected")
-    if _is_star(g):
-        raise NotCameronWalker("graph is a star")
-    if _is_star_triangle(g):
-        raise NotCameronWalker("graph is a star triangle")
-    dec, reason = _try_decompose(g)
-    if dec is None:
+    """The structural certificate of a Cameron-Walker graph, checked by
+    ``certify_cw``; NotCameronWalker says why another graph has none."""
+    cls, reason = _recognize(g)
+    if cls.decomposition is None:
         raise NotCameronWalker(reason)
-    return dec
+    return cls.decomposition
 
 
 def build_cw(dec: CWDecomposition) -> Graph:

@@ -15,6 +15,7 @@ from cwgraphs import (
     parse_graph_json,
     random_cw,
 )
+from cwgraphs.graph import sorted_labels
 from cwgraphs.errors import (
     Disconnected,
     EmptyGraph,
@@ -63,6 +64,13 @@ def test_natural_label_order():
     assert label_key("2") < label_key("10")
     g = Graph(["x10", "x2", "x1"], [])
     assert g.vertices == ("x1", "x2", "x10")
+
+
+def test_non_ascii_digit_run_orders_by_value():
+    # a digit run in any script compares by its integer value: the
+    # Arabic-Indic three sits between x2 and x4
+    assert sorted_labels(["x4", "x\u0663", "x2"]) == ("x2", "x\u0663", "x4")
+    assert Graph(["x4", "x\u0663", "x2"], []).vertices == ("x2", "x\u0663", "x4")
 
 
 def test_neighborhood_open_closed():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, cw_corpus, petersen
+from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, complete_graph, cw_corpus, petersen
 from cwgraphs import (
     build_cw,
     cm_type_cw,
@@ -26,6 +26,7 @@ from cwgraphs import (
     regularity_cw,
 )
 from cwgraphs import invariants
+from cwgraphs.complexes import COMPLEX_VERTEX_CAP
 from cwgraphs.errors import (
     InvalidDecomposition,
     NotCameronWalker,
@@ -324,6 +325,13 @@ def test_full_report_k4():
     payload = json.loads(rep.to_json())
     assert payload["reg"] is None and "reg_reason" in payload
     assert list(payload)[:3] == ["im", "m", "classification"]
+
+
+def test_report_to_dict_is_the_json_payload():
+    for g in (from_edge_list(G5_EDGES), from_edge_list(STAR7_EDGES), complete_graph(4)):
+        for cap in (COMPLEX_VERTEX_CAP, 2):
+            rep = full_report(g, cap=cap)
+            assert rep.to_json() == json.dumps(rep.to_dict())
 
 
 def test_report_invariants_on_corpus_sample():

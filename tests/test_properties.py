@@ -1,5 +1,6 @@
 """Property tests: graph construction against a reference written here,
-recognition against the brute-force matching oracle, the independence
+recognition and both matching searches against the brute-force matching
+oracle, the independence
 complex and both vertex-decomposability tests against the brute-force
 independent-set oracle and each other, vertex decomposability against
 the exhaustive shelling search, the theorems full_report relies on
@@ -21,10 +22,14 @@ from cwgraphs import (  # noqa: E402
     classify,
     full_report,
     independence_complex,
+    induced_matching_number,
     is_cm_cw,
+    is_induced_matching,
+    is_matching,
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
     label_key,
+    matching_number,
     oracle_matchings,
     oracle_max_independent_sets,
     oracle_shelling_exists,
@@ -131,6 +136,32 @@ def test_classify_agrees_with_oracle(g):
     assert (cls.tag != TAG_OTHER) == (connected and m == im)
     if cls.tag == TAG_CAMERON_WALKER:
         assert cls.decomposition.n + cls.decomposition.t == m
+
+
+@st.composite
+def labelled_graph(draw):
+    """Up to 9 vertices named from LABELS, so that label order, and with
+    it the canonical edge order, differs from string order."""
+    verts = sorted(set(draw(st.lists(LABELS, min_size=1, max_size=9))))
+    pairs = list(itertools.combinations(verts, 2))
+    if not pairs:
+        return Graph(verts, [])
+    return Graph(verts, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=MAX_EDGES)))
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), labelled_graph(), near_cameron_walker()))
+def test_matching_searches_agree_with_oracle(g):
+    m, witness_m = matching_number(g)
+    im, witness_im = induced_matching_number(g)
+    assert (m, im) == oracle_matchings(g)
+    assert len(witness_m) == m and is_matching(g, witness_m)
+    assert len(witness_im) == im and is_induced_matching(g, witness_im)
 
 
 @settings(

@@ -28,6 +28,7 @@ from cwgraphs.errors import (
     NotAPartition,
     NotCameronWalker,
 )
+from cwgraphs import structure
 from cwgraphs.structure import (
     TAG_CAMERON_WALKER,
     TAG_OTHER,
@@ -80,6 +81,28 @@ def test_decompose_g5():
     assert dec.leaf_map == {"x": ("v",)}
     assert dec.triangle_map == {"y": (("w", "z"),)}
     assert (dec.n, dec.m, dec.m_prime, dec.f, dec.t) == (1, 1, 1, 1, 1)
+
+
+def test_decompose_is_certified(monkeypatch):
+    def refuse(g, dec):
+        raise InvalidDecomposition("refused")
+
+    monkeypatch.setattr(structure, "certify_cw", refuse)
+    with pytest.raises(InvalidDecomposition, match="refused"):
+        decompose(from_edge_list(G5_EDGES))
+
+
+def test_decompose_agrees_with_classify():
+    graphs = [build_cw(dec) for dec in cw_corpus()[:40]]
+    graphs += [from_edge_list(STAR7_EDGES), star_triangle(1), from_edge_list([("a", "b")])]
+    graphs += [Graph("abcd", [("a", "b"), ("c", "d")]), from_edge_list(P5_EDGES[:3])]
+    for g in graphs:
+        cls = classify(g)
+        if cls.tag == TAG_CAMERON_WALKER:
+            assert decompose(g) == cls.decomposition
+        else:
+            with pytest.raises(NotCameronWalker):
+                decompose(g)
 
 
 def test_decompose_rejects():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import NotAPermutation, SizeGuard, UnknownVertex
-from .graph import Graph, label_key
+from .graph import Graph, label_key, sorted_labels
 from .structure import CWDecomposition
 
 COMPLEX_VERTEX_CAP = 26
@@ -83,9 +83,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
-
-    def is_simplex(self) -> bool:
-        return len(self.facets) <= 1
 
     def link(self, v: str) -> "SimplicialComplex":
         if v not in self.vertices:
@@ -190,47 +187,53 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
 def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
     """Exact recursive test; returns (flag, witness tree of shed vertices).
 
-    A vertex x sheds when no face of the link is a facet of the deletion,
-    i.e. no deletion facet sits inside a link facet.  The search tries
-    shedding vertices in canonical order, first success wins, so the
-    witness is a deterministic function of the input.  Results are
-    memoized for this call only, keyed by facet bitmasks rather than the
-    facets themselves so the memo holds no subcomplex alive.
+    A vertex x sheds when no face of the link is a facet of the deletion.
+    Runs on facet bitmasks: vertex i is bit i of the support in label
+    order, and shedding vertices are tried in ascending bit order, first
+    success wins, so the witness is a deterministic function of the
+    input.  Results are memoized for this call only, keyed by the facet
+    masks in ascending order.
     """
     support = c.facet_support()
     if len(support) > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
     _check_ceiling("vertex-decomposability", len(support))
-    bit = {v: 1 << i for i, v in enumerate(support)}
+    order = sorted_labels(support)
+    bit = {v: 1 << i for i, v in enumerate(order)}
     memo: dict[tuple[int, ...], tuple] = {}
 
-    def rec(cx: SimplicialComplex):
-        if not cx.facets:
+    def rec(facets: tuple[int, ...]):
+        if not facets:
             return True, {"kind": "empty"}
-        if len(cx.facets) == 1:
+        if len(facets) == 1:
             return True, {"kind": "simplex"}
-        key = tuple(sum(bit[v] for v in f) for f in cx.facets)
-        got = memo.get(key)
+        got = memo.get(facets)
         if got is not None:
             return got
+        span = 0
+        for f in facets:
+            span |= f
         res = (False, None)
-        for x in sorted(cx.facet_support(), key=label_key):
-            deleted = cx.delete(x)
-            link = cx.link(x)
-            if any(any(d <= l for l in link.facets) for d in deleted.facets):
+        for x in _bits(span):
+            b = 1 << x
+            rest = tuple(f for f in facets if not f & b)
+            link = tuple(f ^ b for f in facets if f & b)
+            # x sheds iff each link facet f - x lies in a facet without x,
+            # which are then the deletion's facets; both stay ascending.
+            if not all(any(not l & ~g for g in rest) for l in link):
                 continue
-            ok1, w1 = rec(deleted)
+            ok1, w1 = rec(rest)
             if not ok1:
                 continue
             ok2, w2 = rec(link)
             if not ok2:
                 continue
-            res = (True, {"kind": "shed", "vertex": x, "deleted": w1, "link": w2})
+            res = (True, {"kind": "shed", "vertex": order[x], "deleted": w1, "link": w2})
             break
-        memo[key] = res
+        memo[facets] = res
         return res
 
-    return rec(c)
+    return rec(tuple(sorted(sum(bit[v] for v in f) for f in c.facets)))
 
 
 def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):

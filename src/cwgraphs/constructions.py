@@ -3,7 +3,7 @@ attachments, whisker partitions and decompositions read back from JSON.
 
 Only ``cwgraphs generate`` and library callers use this module, so the
 command line's start-up path does not import it.  ``build_cw`` stays in
-``structure``, where ``invariants.g_prime`` uses it.
+``structure``, where ``invariants.cw_cover_cardinalities`` uses it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .errors import (
     NotInFamily,
     SizeGuard,
 )
-from .graph import Graph, label_key, sorted_labels
+from .graph import Graph, sorted_labels
 from .matchings import induced_matching_number, matching_number
 from .records import Record
 from .structure import (
@@ -45,9 +45,9 @@ _IM_EQUALS_M = (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER)
 def minimal_vertex_covers(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     """All minimal vertex covers: complements of the independence facets."""
     cx = independence_complex(g, cap=cap)
-    vset = set(g.vertices)
-    covers = [sorted_labels(vset - f) for f in cx.facets]
-    return tuple(sorted(covers, key=lambda c: tuple(label_key(v) for v in c)))
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    covers = [tuple(v for v in g.vertices if v not in f) for f in cx.facets]
+    return tuple(sorted(covers, key=lambda c: [rank[v] for v in c]))
 
 
 def is_unmixed(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> bool:
@@ -76,17 +76,17 @@ def cw_witness_covers(dec: CWDecomposition):
           degree-2 vertex per triangle.
     """
     dec.validate()
-    canon = dec.canonicalize()
-    xs = set(canon.left)
-    ys = set(canon.right)
-    zs = {z for x in canon.left for z in canon.leaf_map[x]}
+    cmap = dec.canonical_map()
+    xs = {cmap[x] for x in dec.left}
+    ys = {cmap[y] for y in dec.right}
+    zs = {cmap[z] for x in dec.left for z in dec.leaf_map[x]}
     w_both = set()
     w_first = set()
-    for y in canon.right:
-        for a, b in canon.triangle_map[y]:
-            w_both.update((a, b))
-            w_first.add(a)
-    bearing = {y for y in canon.right if canon.triangle_map[y]}
+    for y in dec.right:
+        for a, b in dec.triangle_map[y]:
+            w_both.update((cmap[a], cmap[b]))
+            w_first.add(cmap[a])
+    bearing = {cmap[y] for y in dec.right if dec.triangle_map[y]}
     return (
         frozenset(xs | w_both),
         frozenset(ys | zs | w_first),
@@ -97,7 +97,6 @@ def cw_witness_covers(dec: CWDecomposition):
 def cw_cover_cardinalities(dec: CWDecomposition) -> tuple[int, int, int]:
     """(n + 2t, m + f + t, n + m' + t); the witness covers are checked to
     be minimal vertex covers of the built graph."""
-    dec.validate()
     g = build_cw(dec)
     covers = cw_witness_covers(dec)
     triple = (
@@ -120,17 +119,19 @@ def is_cm_cw(dec: CWDecomposition) -> bool:
 
 def g_prime(dec: CWDecomposition) -> Graph:
     """Induced subgraph of the built graph on the left vertices, the right
-    vertices, and one fixed triangle vertex (the '+') per right vertex.
+    vertices, and one fixed triangle vertex (the '+') per right vertex:
+    the support plus the edges y_j - w_{j,1}+, in canonical labels.
 
     Only defined for Cohen-Macaulay decompositions.
     """
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("the derived subgraph needs a Cohen-Macaulay shape")
-    g = build_cw(dec)
-    keep = [f"x{i}" for i in range(1, dec.n + 1)]
-    keep += [f"y{j}" for j in range(1, dec.m + 1)]
-    keep += [f"w{j}_1+" for j in range(1, dec.m + 1)]
-    return g.induced_subgraph(keep)
+    cmap = dec.canonical_map()
+    plus = [(cmap[y], cmap[dec.triangle_map[y][0][0]]) for y in dec.right]
+    return Graph(
+        [cmap[v] for v in dec.support.vertices] + [w for _, w in plus],
+        [(cmap[u], cmap[v]) for u, v in dec.support.edges] + plus,
+    )
 
 
 def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
@@ -155,7 +156,6 @@ def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
 def is_gorenstein_cw(dec: CWDecomposition) -> bool:
     """Gorenstein means Cohen-Macaulay of type 1; the type is 2^m >= 2, so
     this is always False."""
-    dec.validate()
     return is_cm_cw(dec) and cm_type_cw(dec) == 1
 
 
@@ -163,8 +163,8 @@ def independence_domination_number(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     """Minimum size of an independent set whose closed neighbourhood covers
     the graph; equals the minimum facet size of the independence complex.
     Returns (value, canonical witness)."""
-    cx = independence_complex(g, cap=cap)
-    best = min(cx.facets, key=lambda f: (len(f), tuple(label_key(v) for v in sorted(f, key=label_key))))
+    # facets come in canonical order, so the first of least size wins
+    best = min(independence_complex(g, cap=cap).facets, key=len)
     return len(best), sorted_labels(best)
 
 

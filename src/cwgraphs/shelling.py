@@ -8,9 +8,9 @@ the checker, stays in ``complexes``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from functools import cmp_to_key
 
 from .complexes import MINUS, PLUS, SHELLING_FACET_CAP
 from .errors import LengthMismatch, NotCompleteBipartiteSupport, SizeGuard
@@ -48,21 +48,19 @@ def subset_less(a, b) -> bool:
     return min(sa ^ sb) in sb
 
 
-def _descending(items, less) -> list:
-    def cmp(u, v):
-        if less(u, v):
-            return -1
-        if less(v, u):
-            return 1
-        return 0
+def _sign_vector_key(v) -> tuple:
+    """Sort key that orders equal-length sign vectors as sign_vector_less."""
+    return v.count(PLUS), [s != PLUS for s in v]
 
-    return sorted(items, key=cmp_to_key(cmp), reverse=True)
+
+def _subset_key(s) -> tuple:
+    """Sort key that orders index sets as subset_less: on a tie in size
+    the larger set has the lower entry where the sorted tuples differ."""
+    return -len(s), [-i for i in sorted(s)]
 
 
 def _sign_vectors_descending(length: int) -> list[tuple[str, ...]]:
-    return _descending(
-        list(itertools.product((PLUS, MINUS), repeat=length)), sign_vector_less
-    )
+    return sorted(itertools.product((PLUS, MINUS), repeat=length), key=_sign_vector_key, reverse=True)
 
 
 class FacetProvenance(FrozenRecord):
@@ -133,7 +131,9 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> Shelling
     facets: list[frozenset[str]] = []
     provenance: list[FacetProvenance] = []
 
-    for idx in _descending(_all_subsets(m_prime), subset_less):
+    # one sort per vector length, not per family
+    sign_vectors = functools.cache(_sign_vectors_descending)
+    for idx in sorted(_all_subsets(m_prime), key=_subset_key, reverse=True):
         chosen = set(idx)
         slots = [
             (i, k)
@@ -142,20 +142,20 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> Shelling
             for k in range(t_counts[i - 1])
         ]
         base = set(bare_right) | set(all_leaves) | {dec.right[i - 1] for i in chosen}
-        for nu in _sign_vectors_descending(len(slots)):
+        for nu in sign_vectors(len(slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(slots, nu)}
             facets.append(frozenset(base | extra))
             provenance.append(FacetProvenance("F", tuple(sorted(idx)), nu))
 
     all_slots = [(i, k) for i in range(1, m_prime + 1) for k in range(t_counts[i - 1])]
     nonempty = [s for s in _all_subsets(n) if s]
-    for idx in _descending(nonempty, subset_less):
+    for idx in sorted(nonempty, key=_subset_key, reverse=True):
         chosen = set(idx)
         base = {dec.left[j - 1] for j in chosen}
         for j in range(1, n + 1):
             if j not in chosen:
                 base.update(dec.leaf_map[dec.left[j - 1]])
-        for nu in _sign_vectors_descending(len(all_slots)):
+        for nu in sign_vectors(len(all_slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(all_slots, nu)}
             facets.append(frozenset(base | extra))
             provenance.append(FacetProvenance("G", tuple(sorted(idx)), nu))

@@ -119,6 +119,25 @@ def test_oracle_command_on_bundled_corpus(capsys):
         assert json.loads(out)["mismatches"] == []
 
 
+def test_oracle_command_enumerates_the_complex_once(capsys, monkeypatch):
+    from cwgraphs import complexes, invariants
+
+    built = []
+    original = complexes.independence_complex
+
+    def counting(g, cap):
+        built.append(g.vertex_count)
+        return original(g, cap=cap)
+
+    for module in (complexes, invariants):
+        monkeypatch.setattr(module, "independence_complex", counting)
+    for name in ("g5", "p5", "petersen"):
+        built.clear()
+        code, out, err = run(capsys, "oracle", str(DATA / f"{name}.edges"))
+        assert code == 0, (name, err)
+        assert len(built) == 1, name
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b\nb c\n")))
     code, out, _ = run(capsys, "classify", "-")

@@ -1,5 +1,6 @@
 """Independence complexes, vertex decomposability, and shellings."""
 
+import functools
 import itertools
 import json
 import random
@@ -212,6 +213,18 @@ def test_vd_complex_witnesses_are_pinned():
             assert got == json.dumps(expected[name]), name
 
 
+def test_complex_vd_builds_no_subcomplex(monkeypatch):
+    # the VD test takes links and deletions on facet masks
+    def refuse(self, v):
+        raise RuntimeError("subcomplex built")
+
+    monkeypatch.setattr(SimplicialComplex, "link", refuse)
+    monkeypatch.setattr(SimplicialComplex, "delete", refuse)
+    for dec in cw_corpus()[:20]:
+        assert is_vertex_decomposable(independence_complex(build_cw(dec)))[0]
+    assert not is_vertex_decomposable(SimplicialComplex([{"a", "b"}, {"c", "d"}]))[0]
+
+
 def test_vd_witness_shape():
     g5 = from_edge_list(G5_EDGES)
     ok, wit = is_vertex_decomposable_graph(g5)
@@ -302,6 +315,23 @@ def test_orders_are_strict_total_orders():
         for c in itertools.combinations(range(1, 5), r)
     ]
     _check_strict_total_order(subsets, subset_less)
+
+
+def _comparator_order(items, less):
+    def cmp(u, v):
+        return -1 if less(u, v) else 1 if less(v, u) else 0
+
+    return sorted(items, key=functools.cmp_to_key(cmp))
+
+
+def test_shelling_sort_keys_follow_the_orders():
+    for length in range(8):
+        vectors = list(itertools.product((PLUS, MINUS), repeat=length))
+        assert sorted(vectors, key=shelling._sign_vector_key) == _comparator_order(
+            vectors, sign_vector_less
+        )
+    subsets = [c for r in range(8) for c in itertools.combinations(range(1, 8), r)]
+    assert sorted(subsets, key=shelling._subset_key) == _comparator_order(subsets, subset_less)
 
 
 def test_cw_shelling_g5():

@@ -25,7 +25,7 @@ from cwgraphs import (
     random_cw,
     regularity_cw,
 )
-from cwgraphs import invariants
+from cwgraphs import invariants, structure
 from cwgraphs.complexes import COMPLEX_VERTEX_CAP
 from cwgraphs.errors import (
     InvalidDecomposition,
@@ -121,6 +121,28 @@ def test_g_prime():
     }
     with pytest.raises(NotCohenMacaulay):
         g_prime(decompose(from_edge_list(P5_EDGES)))
+
+
+def test_g_prime_is_read_off_the_certificate(monkeypatch):
+    # G' is the induced subgraph of the built graph on the x, the y and
+    # each w_{j,1}+, taken here the long way, before build_cw is refused
+    decs = [dec for dec in cw_corpus() if is_cm_cw(dec)]
+    expected = []
+    for dec in decs:
+        keep = [f"x{i}" for i in range(1, dec.n + 1)]
+        keep += [f"y{j}" for j in range(1, dec.m + 1)]
+        keep += [f"w{j}_1+" for j in range(1, dec.m + 1)]
+        expected.append(build_cw(dec).induced_subgraph(keep))
+
+    def refuse(dec):
+        raise RuntimeError("build_cw called")
+
+    monkeypatch.setattr(invariants, "build_cw", refuse)
+    monkeypatch.setattr(structure, "build_cw", refuse)
+    assert len(decs) > 100
+    for dec, gp in zip(decs, expected):
+        assert g_prime(dec) == gp
+        assert cm_type_cw(dec) == 2**dec.m
 
 
 def test_cm_type():

@@ -3,9 +3,10 @@ recognition and both matching searches against the brute-force matching
 oracle, the independence
 complex and both vertex-decomposability tests against the brute-force
 independent-set oracle and each other, vertex decomposability against
-the exhaustive shelling search, the theorems full_report relies on
-against the searches, and the report's cover size counts against the
-complex and the oracle."""
+the exhaustive shelling search, the complex-level test against its
+link-and-delete definition on general complexes, the theorems
+full_report relies on against the searches, and the report's cover
+size counts against the complex and the oracle."""
 
 import itertools
 
@@ -178,6 +179,49 @@ def test_complex_and_vd_tests_agree_with_oracle(g):
     vd = is_vertex_decomposable_graph(g)[0]
     event(f"vertex decomposable: {vd}")
     assert vd == is_vertex_decomposable(cx)[0]
+
+
+def reference_vertex_decomposable(c):
+    """The complex-level test by its definition, on SimplicialComplex
+    link and delete: shedding vertices tried in label order, first
+    success wins."""
+    memo = {}
+
+    def rec(cx):
+        if not cx.facets:
+            return True, {"kind": "empty"}
+        if len(cx.facets) == 1:
+            return True, {"kind": "simplex"}
+        if cx.facets not in memo:
+            memo[cx.facets] = (False, None)
+            for x in sorted(cx.facet_support(), key=label_key):
+                deleted, link = cx.delete(x), cx.link(x)
+                if any(any(d <= f for f in link.facets) for d in deleted.facets):
+                    continue
+                ok1, w1 = rec(deleted)
+                ok2, w2 = rec(link) if ok1 else (False, None)
+                if ok2:
+                    memo[cx.facets] = (True, {"kind": "shed", "vertex": x, "deleted": w1, "link": w2})
+                    break
+        return memo[cx.facets]
+
+    return rec(c)
+
+
+# Seven labels whose label order differs from string order.
+COMPLEX_LABELS = ["x1", "x01", "x2", "x10", "y", "\u00e9", "x\u0663"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.sampled_from(COMPLEX_LABELS), max_size=4), max_size=8).map(
+        SimplicialComplex
+    )
+)
+def test_complex_vd_matches_the_reference(cx):
+    ok, witness = is_vertex_decomposable(cx)
+    event(f"vertex decomposable: {ok}")
+    assert (ok, witness) == reference_vertex_decomposable(cx)
 
 
 @settings(

@@ -331,16 +331,24 @@ def verify_shelling(c: SimplicialComplex, order) -> tuple[bool, int | None]:
 
     Facet i > 1 must meet the earlier facets in a pure complex of
     codimension one: every maximal intersection with a predecessor has
-    cardinality |F_i| - 1.
+    cardinality |F_i| - 1.  Checked on facet bitmasks: that holds iff
+    each F_i - F_j with j < i meets D, the union of the one-vertex
+    differences F_i - F_k over k < i, as F_i & F_j then lies in one such
+    F_i & F_k.
     """
     facs = [frozenset(f) for f in order]
     if len(facs) != len(c.facets) or set(facs) != set(c.facets):
         raise NotAPermutation("order must be a permutation of the facets")
-    for i in range(1, len(facs)):
-        fi = facs[i]
-        inters = {facs[j] & fi for j in range(i)}
-        maximal = [s for s in inters if not any(s < t for t in inters)]
-        if any(len(s) != len(fi) - 1 for s in maximal):
+    bit = {v: 1 << i for i, v in enumerate(c.vertices)}
+    masks = [sum(bit[v] for v in f) for f in facs]
+    for i in range(1, len(masks)):
+        fi = masks[i]
+        diffs = [fi & ~fj for fj in masks[:i]]
+        d = 0
+        for diff in diffs:
+            if not diff & (diff - 1):
+                d |= diff
+        if any(not diff & d for diff in diffs):
             return False, i + 1
     return True, None
 

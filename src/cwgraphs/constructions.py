@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import InvalidParams, InvalidSize, NotAClique, NotAPartition, ParseError
 from .graph import Graph, label_key
@@ -44,19 +46,19 @@ def decomposition_from_json(text: str) -> CWDecomposition:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed decomposition JSON: {exc}") from exc
-    dec = CWDecomposition(support, left, right, leaf_map, triangle_map)
-    dec.validate()
-    return dec
+    return CWDecomposition(support, left, right, leaf_map, triangle_map)
 
 
 class CliqueAttachmentSpec(FrozenRecord):
-    """Base graph plus one clique size k_i >= 2 per vertex."""
+    """Base graph plus one clique size k_i >= 2 per vertex, checked by
+    the constructor; ``sizes`` is a read-only view of its own copy."""
 
     __slots__ = ("base", "sizes")
 
-    def __init__(self, base: Graph, sizes: dict[str, int]):
+    def __init__(self, base: Graph, sizes: Mapping[str, int]):
         set_field(self, "base", base)
-        set_field(self, "sizes", sizes)
+        set_field(self, "sizes", MappingProxyType(dict(sizes)))
+        self.validate()
 
     def validate(self) -> None:
         if set(self.sizes) != set(self.base.vertices):
@@ -73,7 +75,6 @@ def attach_cliques(spec: CliqueAttachmentSpec) -> Graph:
     extra '@' appended on the unlikely name clash), forming a complete
     graph together with x_i; base edges are preserved.
     """
-    spec.validate()
     used = set(spec.base.vertices)
     vertices = list(spec.base.vertices)
     edges = list(spec.base.edges)
@@ -94,13 +95,15 @@ def attach_cliques(spec: CliqueAttachmentSpec) -> Graph:
 
 
 class CliquePartition(FrozenRecord):
-    """Disjoint (possibly empty) cliques covering the vertex set."""
+    """Disjoint (possibly empty) cliques covering the vertex set, checked
+    by the constructor."""
 
     __slots__ = ("base", "parts")
 
     def __init__(self, base: Graph, parts: tuple[frozenset[str], ...]):
         set_field(self, "base", base)
         set_field(self, "parts", parts)
+        self.validate()
 
     def validate(self) -> None:
         union: set[str] = set()
@@ -122,7 +125,6 @@ def whisker_partition(p: CliquePartition) -> Graph:
     Fresh vertices are labelled w1, w2, ... (with '@' appended on a name
     clash); an empty part contributes an isolated new vertex.
     """
-    p.validate()
     used = set(p.base.vertices)
     vertices = list(p.base.vertices)
     edges = list(p.base.edges)
@@ -223,6 +225,4 @@ def random_cw(
         )
         for j in range(m)
     }
-    dec = CWDecomposition(support, left, right, leaf_map, triangle_map)
-    dec.validate()
-    return dec
+    return CWDecomposition(support, left, right, leaf_map, triangle_map)

@@ -75,7 +75,6 @@ def cw_witness_covers(dec: CWDecomposition):
     (iii) all left vertices, the triangle-bearing right vertices, and one
           degree-2 vertex per triangle.
     """
-    dec.validate()
     cmap = dec.canonical_map()
     xs = {cmap[x] for x in dec.left}
     ys = {cmap[y] for y in dec.right}
@@ -113,7 +112,6 @@ def cw_cover_cardinalities(dec: CWDecomposition) -> tuple[int, int, int]:
 def is_cm_cw(dec: CWDecomposition) -> bool:
     """Cohen-Macaulay iff exactly one leaf per left vertex and exactly one
     pendant triangle per right vertex."""
-    dec.validate()
     return all(f == 1 for f in dec.f_counts) and all(t == 1 for t in dec.t_counts)
 
 

@@ -6,9 +6,12 @@ generated at import.  It inherits field-wise ``==`` within one type, a
 ``repr`` listing the fields, and pickling and copying by positional
 construction.  ``Record`` is mutable and unhashable.  ``FrozenRecord``
 refuses assignment and hashes the tuple of its field values, so a
-frozen record holding a dict is unhashable like the dict; its
-``__init__`` stores fields with ``set_field``.
+frozen record holding a mapping is unhashable like the mapping; its
+``__init__`` stores fields with ``set_field``, a mapping as a read-only
+``MappingProxyType`` view, which pickles and copies as a plain dict.
 """
+
+from types import MappingProxyType
 
 set_field = object.__setattr__
 
@@ -44,3 +47,7 @@ class FrozenRecord(Record):
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    def __reduce__(self):
+        values = (dict(v) if type(v) is MappingProxyType else v for v in self._values())
+        return self.__class__, tuple(values)

@@ -105,7 +105,6 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> Shelling
     left subset J chosen.  Families are emitted in descending index-set
     order, facets within a family in descending sign-vector order.
     """
-    dec.validate()
     n, m = dec.n, dec.m
     if dec.support.edge_count != n * m:
         raise NotCompleteBipartiteSupport(

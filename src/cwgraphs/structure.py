@@ -9,6 +9,8 @@ whose right vertices may carry pendant triangles.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from .errors import Disconnected, InvalidDecomposition, NotCameronWalker
 from .graph import Graph, label_key, sorted_labels, two_coloring
@@ -26,8 +28,11 @@ class CWDecomposition(FrozenRecord):
     ``leaf_map[x]`` lists the leaves hanging off the left vertex x (at
     least one each); ``triangle_map[y]`` lists the degree-2 vertex pairs
     of the pendant triangles at the right vertex y.  Right vertices are
-    ordered so that the triangle-bearing ones come first.  The maps are
-    dicts, so a decomposition is unhashable; omitted maps start empty.
+    ordered so that the triangle-bearing ones come first.  The
+    constructor keeps both maps as read-only views of its own copies and
+    runs ``validate``, so every instance is a valid certificate and its
+    users need not check it again.  The views show dicts, so a
+    decomposition is unhashable.
     """
 
     __slots__ = ("support", "left", "right", "leaf_map", "triangle_map")
@@ -37,14 +42,15 @@ class CWDecomposition(FrozenRecord):
         support: Graph,
         left: tuple[str, ...],
         right: tuple[str, ...],
-        leaf_map: dict[str, tuple[str, ...]] | None = None,
-        triangle_map: dict[str, tuple[tuple[str, str], ...]] | None = None,
+        leaf_map: Mapping[str, tuple[str, ...]],
+        triangle_map: Mapping[str, tuple[tuple[str, str], ...]],
     ):
         set_field(self, "support", support)
         set_field(self, "left", left)
         set_field(self, "right", right)
-        set_field(self, "leaf_map", {} if leaf_map is None else leaf_map)
-        set_field(self, "triangle_map", {} if triangle_map is None else triangle_map)
+        set_field(self, "leaf_map", MappingProxyType(dict(leaf_map)))
+        set_field(self, "triangle_map", MappingProxyType(dict(triangle_map)))
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -75,6 +81,7 @@ class CWDecomposition(FrozenRecord):
         return sum(1 for t in self.t_counts if t >= 1)
 
     def validate(self) -> None:
+        """Raise InvalidDecomposition unless this is a valid certificate."""
         # Reads only the support's vertex and edge tuples, so validating
         # does not make the stored support build its adjacency.
         if not self.left or not self.right:
@@ -141,24 +148,6 @@ class CWDecomposition(FrozenRecord):
                 out[a] = f"w{j}_{k}+"
                 out[b] = f"w{j}_{k}-"
         return out
-
-    def canonicalize(self) -> "CWDecomposition":
-        """The same decomposition written in canonical labels."""
-        cmap = self.canonical_map()
-        support = Graph(
-            [cmap[v] for v in self.support.vertices],
-            [(cmap[u], cmap[v]) for u, v in self.support.edges],
-        )
-        return CWDecomposition(
-            support=support,
-            left=tuple(cmap[x] for x in self.left),
-            right=tuple(cmap[y] for y in self.right),
-            leaf_map={cmap[x]: tuple(cmap[z] for z in zs) for x, zs in self.leaf_map.items()},
-            triangle_map={
-                cmap[y]: tuple((cmap[a], cmap[b]) for a, b in pairs)
-                for y, pairs in self.triangle_map.items()
-            },
-        )
 
     def to_dict(self) -> dict:
         """The payload that ``to_json`` writes."""
@@ -289,9 +278,7 @@ def _try_decompose(g: Graph):
     leaf_map = {x: sorted_labels(leaf_at[x]) for x in left}
     triangle_map = {y: tuple(tri_at[y]) for y in right}
     support = g.induced_subgraph(support_vertices)
-    dec = CWDecomposition(support, left, right, leaf_map, triangle_map)
-    dec.validate()
-    return dec, None
+    return CWDecomposition(support, left, right, leaf_map, triangle_map), None
 
 
 def certify_cw(g: Graph, dec: CWDecomposition) -> int:
@@ -376,7 +363,6 @@ def build_cw(dec: CWDecomposition) -> Graph:
     Left vertices become x1..xn, right vertices y1..ym, leaves z{i}_{l}
     and pendant-triangle pairs w{j}_{k}+ / w{j}_{k}-.
     """
-    dec.validate()
     cmap = dec.canonical_map()
     vertices = list(cmap.values())
     edges = [(cmap[u], cmap[v]) for u, v in dec.support.edges]

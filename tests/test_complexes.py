@@ -269,6 +269,39 @@ def test_verify_shelling_single_facet_and_permutation_check():
         verify_shelling(cx, list(cx.facets)[:-1])
 
 
+def reference_verify_shelling(order) -> tuple[bool, int | None]:
+    """The shelling condition by its set-level definition: the maximal
+    intersections of each facet with its predecessors all have one
+    vertex fewer than the facet."""
+    facs = [frozenset(f) for f in order]
+    for i in range(1, len(facs)):
+        fi = facs[i]
+        inters = {facs[j] & fi for j in range(i)}
+        maximal = [s for s in inters if not any(s < t for t in inters)]
+        if any(len(s) != len(fi) - 1 for s in maximal):
+            return False, i + 1
+    return True, None
+
+
+def test_verify_shelling_matches_the_set_level_definition():
+    rng = random.Random(31)
+    verdicts = []
+    for trial in range(3000):
+        ground = "abcdefg"[: rng.randint(1, 7)]
+        if trial % 2:  # pure complexes, where shellings are common
+            k = rng.randint(1, len(ground))
+            raw = [rng.sample(ground, k) for _ in range(rng.randint(1, 8))]
+        else:
+            raw = [[v for v in ground if rng.random() < 0.5] for _ in range(rng.randint(1, 8))]
+        cx = SimplicialComplex(raw)
+        order = rng.sample(cx.facets, len(cx.facets))
+        got = verify_shelling(cx, order)
+        assert got == reference_verify_shelling(order), (cx.facets, order)
+        verdicts.append(got)
+    assert {ok for ok, _ in verdicts} == {True, False}
+    assert len({idx for _, idx in verdicts}) > 4
+
+
 def test_sign_vector_order_examples():
     assert sign_vector_less((MINUS, MINUS, MINUS), (PLUS, MINUS, MINUS))
     assert sign_vector_less((PLUS, MINUS, MINUS), (MINUS, PLUS, MINUS))

@@ -33,6 +33,7 @@ from cwgraphs.errors import (
     NotCohenMacaulay,
     NotInFamily,
 )
+from cwgraphs.structure import CWDecomposition
 
 
 def test_minimal_vertex_covers_single_edge():
@@ -74,7 +75,6 @@ def test_cw_cover_cardinalities_examples():
     assert cw_cover_cardinalities(p5) == (2, 3, 2)
     # two leaves on x1 plus one triangle on y1: (3, 4, 3), not unmixed
     from cwgraphs.graph import Graph
-    from cwgraphs.structure import CWDecomposition
 
     f2 = CWDecomposition(
         support=Graph(("x1", "y1"), [("x1", "y1")]),
@@ -365,3 +365,21 @@ def test_report_invariants_on_corpus_sample():
         assert rep.gorenstein is False
         if rep.sequentially_cm:
             assert rep.vertex_decomposable
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: full_report(from_edge_list(G5_EDGES)),  # Cohen-Macaulay
+        lambda: full_report(from_edge_list(P5_EDGES)),
+        lambda: build_cw(random_cw(3, 3, 2, 2, 0.5, 1)),
+    ],
+    ids=["cm_report", "report", "build_cw"],
+)
+def test_each_certificate_is_validated_once(monkeypatch, run):
+    # checked where it is built; no consumer checks it again
+    calls = []
+    validate = CWDecomposition.validate
+    monkeypatch.setattr(CWDecomposition, "validate", lambda dec: calls.append(dec) or validate(dec))
+    run()
+    assert len(calls) == 1

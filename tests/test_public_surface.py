@@ -1,5 +1,6 @@
 """The names the package exports and the layers the benchmark traces."""
 
+import ast
 import json
 import os
 import subprocess
@@ -81,3 +82,12 @@ def test_traced_layers_are_loaded_by_the_cli_import():
     )
     count, bad = json.loads(_fresh(probe, str(ROOT / "bench")))
     assert count > 0 and bad == []
+
+
+def test_no_assert_statements_in_the_package():
+    # checks must survive python -O, so they raise instead
+    found = []
+    for path in sorted((ROOT / "src" / "cwgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

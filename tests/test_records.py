@@ -22,19 +22,29 @@ from cwgraphs import (
     OracleBudget,
     ShellingOrder,
 )
+from cwgraphs.errors import InvalidDecomposition
 from cwgraphs.graph import Graph
 
 EDGE = Graph(("x1", "y1"), [("x1", "y1")])
 DEC = CWDecomposition(EDGE, ("x1",), ("y1",), {"x1": ("z1_1",)}, {"y1": (("w+", "w-"),)})
+SPEC = CliqueAttachmentSpec(EDGE, {"x1": 2, "y1": 3})
+# two supports on x1, x2 | y1, y2: a path and K_{2,2}
+XY = ("x1", "x2", "y1", "y2")
+PATH = Graph(XY, [("x1", "y1"), ("x2", "y1"), ("x2", "y2")])
+K22 = Graph(XY, [(x, y) for x in XY[:2] for y in XY[2:]])
 
-# record class -> (positional field values, a different value for the first field)
+# record class -> (positional field values, a different value for the
+# first field); both must be valid, since some records check themselves
 FROZEN = {
     BipartitePartition: ((("a",), ("b",)), ("c",)),
     MatchingStats: ((2, 1, (("a", "b"), ("c", "d")), (("a", "b"),)), 3),
-    CWDecomposition: ((EDGE, ("x1",), ("y1",), {"x1": ("z1_1",)}, {"y1": ()}), Graph(("a",))),
+    CWDecomposition: (
+        (PATH, XY[:2], XY[2:], {"x1": ("z1_1",), "x2": ("z2_1",)}, {"y1": (), "y2": ()}),
+        K22,
+    ),
     Classification: (("Other", None, "im!=m"), "Star"),
-    CliqueAttachmentSpec: ((EDGE, {"x1": 2, "y1": 3}), Graph(("a",))),
-    CliquePartition: ((EDGE, (frozenset({"x1", "y1"}),)), Graph(("a",))),
+    CliqueAttachmentSpec: ((EDGE, {"x1": 2, "y1": 3}), Graph(("x1", "y1"))),
+    CliquePartition: ((EDGE, (frozenset({"x1"}), frozenset({"y1"}))), Graph(("x1", "y1"))),
     FacetProvenance: (("F", (1, 2), ("+", "-")), "G"),
     ShellingOrder: (((frozenset({"a"}),), (FacetProvenance("F", (), ()),)), ()),
     OracleBudget: ((16, 20, 12), 17),
@@ -58,6 +68,7 @@ def test_frozen_record_behaviour(cls):
     assert rec != cls(other_first, *values[1:])
     assert rec != values and rec != object()
     assert copy.copy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.deepcopy(rec) == rec
     assert repr(rec).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
     if cls in UNHASHABLE:
         with pytest.raises(TypeError):
@@ -77,13 +88,28 @@ def test_frozen_record_behaviour(cls):
 def test_record_defaults():
     assert Classification("Star") == Classification("Star", None, None)
     with pytest.raises(TypeError):
-        hash(Classification("CameronWalker", DEC))  # the decomposition holds dicts
+        hash(Classification("CameronWalker", DEC))  # the decomposition holds maps
     assert OracleBudget() == OracleBudget(16, 20, 12)
     assert OracleBudget(max_edges=21).max_edges == 21
-    bare = CWDecomposition(EDGE, ("x1",), ("y1",))
-    assert bare.leaf_map == {} and bare.triangle_map == {}
-    assert bare.leaf_map is not CWDecomposition(EDGE, ("x1",), ("y1",)).leaf_map
-    assert bare.leaf_map is not bare.triangle_map
+    # a certificate needs both maps, and empty ones never validate
+    with pytest.raises(TypeError):
+        CWDecomposition(EDGE, ("x1",), ("y1",))
+    with pytest.raises(InvalidDecomposition):
+        CWDecomposition(EDGE, ("x1",), ("y1",), {}, {})
+
+
+def test_maps_are_read_only_copies():
+    for mapping in (DEC.leaf_map, DEC.triangle_map, SPEC.sizes):
+        with pytest.raises(TypeError):
+            mapping["x1"] = ()
+    leaves, triangles, sizes = {"x1": ("z1_1",)}, {"y1": ()}, {"x1": 2, "y1": 2}
+    dec = CWDecomposition(EDGE, ("x1",), ("y1",), leaves, triangles)
+    spec = CliqueAttachmentSpec(EDGE, sizes)
+    leaves["x1"] = ()
+    triangles["y2"] = ()
+    sizes["x1"] = 1
+    assert dec.leaf_map == {"x1": ("z1_1",)} and dec.triangle_map == {"y1": ()}
+    assert spec.sizes == {"x1": 2, "y1": 2}
 
 
 def test_invariant_report_is_mutable_and_unhashable():

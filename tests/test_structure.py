@@ -157,7 +157,14 @@ def test_round_trip_from_plain_labels():
         [(cmap[u], cmap[v]) for u, v in g5.edges],
     )
     assert relabeled == rebuilt
-    assert decompose(rebuilt) == dec.canonicalize()
+    canonical = type(dec)(
+        Graph([cmap[v] for v in dec.support.vertices], [(cmap[u], cmap[v]) for u, v in dec.support.edges]),
+        tuple(cmap[x] for x in dec.left),
+        tuple(cmap[y] for y in dec.right),
+        {cmap[x]: tuple(cmap[z] for z in zs) for x, zs in dec.leaf_map.items()},
+        {cmap[y]: tuple((cmap[a], cmap[b]) for a, b in ps) for y, ps in dec.triangle_map.items()},
+    )
+    assert decompose(rebuilt) == canonical
 
 
 def test_decomposition_json_round_trip():
@@ -210,10 +217,11 @@ def test_attach_cliques():
     assert g.vertex_count == 6
     assert len(g.pendant_triangles()) == 2
 
+    # the spec checks itself when built
     with pytest.raises(InvalidSize):
-        attach_cliques(CliqueAttachmentSpec(edge, {"a": 1, "b": 2}))
+        CliqueAttachmentSpec(edge, {"a": 1, "b": 2})
     with pytest.raises(InvalidSize):
-        attach_cliques(CliqueAttachmentSpec(edge, {"a": 2}))
+        CliqueAttachmentSpec(edge, {"a": 2})
 
 
 def test_whisker_partition():
@@ -231,10 +239,11 @@ def test_whisker_partition():
     k4 = whisker_partition(CliquePartition(tri, (frozenset("abc"),)))
     assert k4.vertex_count == 4 and k4.edge_count == 6
 
+    # the partition checks itself when built
     with pytest.raises(NotAClique):
-        whisker_partition(CliquePartition(path, (frozenset("ac"), frozenset("b"))))
+        CliquePartition(path, (frozenset("ac"), frozenset("b")))
     with pytest.raises(NotAPartition):
-        whisker_partition(CliquePartition(path, (frozenset("ab"),)))
+        CliquePartition(path, (frozenset("ab"),))
 
 
 def test_random_cw_forced_cases():
@@ -266,25 +275,25 @@ def test_random_cw_invalid_params():
 
 
 def test_validate_rejects_bad_decompositions():
+    # a bad certificate cannot be built; validate stays callable
     dec = random_cw(2, 2, 1, 1, 0.0, 7)
-    bad = type(dec)(
-        support=dec.support,
-        left=dec.left,
-        right=dec.right,
-        leaf_map={**dec.leaf_map, dec.left[0]: ()},
-        triangle_map=dec.triangle_map,
-    )
-    with pytest.raises(InvalidDecomposition):
-        build_cw(bad)
-    disconnected = type(dec)(
-        support=Graph(dec.support.vertices, dec.support.edges[:1]),
-        left=dec.left,
-        right=dec.right,
-        leaf_map=dec.leaf_map,
-        triangle_map=dec.triangle_map,
-    )
+    dec.validate()
+    with pytest.raises(InvalidDecomposition, match="at least one leaf"):
+        type(dec)(
+            support=dec.support,
+            left=dec.left,
+            right=dec.right,
+            leaf_map={**dec.leaf_map, dec.left[0]: ()},
+            triangle_map=dec.triangle_map,
+        )
     with pytest.raises(InvalidDecomposition, match="not connected"):
-        disconnected.validate()
+        type(dec)(
+            support=Graph(dec.support.vertices, dec.support.edges[:1]),
+            left=dec.left,
+            right=dec.right,
+            leaf_map=dec.leaf_map,
+            triangle_map=dec.triangle_map,
+        )
 
 
 def test_classify_result_stays_small():

@@ -34,7 +34,7 @@ def _maximal_only(sets) -> tuple[frozenset[str], ...]:
     uniq = sorted(set(sets), key=len, reverse=True)
     kept: list[frozenset[str]] = []
     for s in uniq:
-        if not any(s < k or s == k for k in kept):
+        if not any(s < k for k in kept):
             kept.append(s)
     return tuple(sorted(kept, key=_facet_key))
 

@@ -299,7 +299,9 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     Cohen-Macaulay, a star iff it has at most two vertices and a star
     triangle iff it is one triangle.  Where the complex fits the cap its
     purity must agree with that verdict, or InvalidDecomposition
-    (Cameron-Walker) or NotInFamily (star, star triangle) is raised.
+    (Cameron-Walker) or NotInFamily (star, star triangle) is raised.  On
+    a star or star triangle reg is the searched m, and a searched im
+    that differs raises NotInFamily, as in ``regularity_cw``.
     """
     rep = InvariantReport()
 
@@ -378,16 +380,18 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
             rep.pd = g.vertex_count - rep.i_g
         else:
             rep.reasons["pd"] = rep.reasons["i_g"]
-            rep.partial = True
     else:
         rep.reasons["pd"] = "only computed for Cameron-Walker graphs"
 
     if cls.tag in _IM_EQUALS_M:
         if rep.m is not None and rep.im is not None:
+            if rep.im != rep.m:
+                raise NotInFamily(
+                    f"{cls.tag} with im = {rep.im} != m = {rep.m}; classification bug"
+                )
             rep.reg = rep.m
         else:
             rep.reasons["reg"] = "size guard on the matching invariants"
-            rep.partial = True
     else:
         rep.reasons["reg"] = "regularity is only pinned down when im = m"
 

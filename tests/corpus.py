@@ -91,6 +91,15 @@ def star_triangle(t: int) -> Graph:
     return Graph(["c"] + [v for e in edges for v in e], edges)
 
 
+def shelling_past_the_cap() -> Graph:
+    """x1 with one leaf, joined to y1 with twelve pendant triangles: its
+    shelling has 2^12 + 1 + 2^12 = 8193 facets, twice SHELLING_FACET_CAP."""
+    edges = [("x1", "y1"), ("x1", "z1")]
+    for k in range(1, 13):
+        edges += [("y1", f"a{k}"), ("y1", f"b{k}"), (f"a{k}", f"b{k}")]
+    return Graph([v for e in edges for v in e], edges)
+
+
 G5_EDGES = [("x", "v"), ("x", "y"), ("y", "z"), ("y", "w"), ("z", "w")]
 P5_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
 STAR7_EDGES = [

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import shelling_past_the_cap
 from cwgraphs.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -138,6 +139,24 @@ def test_oracle_command_enumerates_the_complex_once(capsys, monkeypatch):
         assert len(built) == 1, name
 
 
+def test_oracle_disagreement_exits_4(capsys, monkeypatch):
+    from cwgraphs import oracle
+
+    monkeypatch.setattr(oracle, "oracle_matchings", lambda g, budget: (0, 0))
+    code, out, err = run(capsys, "oracle", str(DATA / "g5.edges"))
+    assert code == 4
+    assert json.loads(out)["mismatches"] == ["matchings: fast (2, 2) vs oracle (0, 0)"]
+    assert err == "oracle disagreement\n"
+
+
+def test_shelling_past_the_facet_cap_is_a_size_guard(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in shelling_past_the_cap().edges))
+    code, out, err = run(capsys, "shelling", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("size guard: shelling would have 8193 facets")
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"a b\nb c\n")))
     code, out, _ = run(capsys, "classify", "-")
@@ -255,6 +274,7 @@ def test_loop_edge_is_an_input_error(tmp_path, capsys, fmt, text):
         ["analyze", str(DATA / "g5.edges"), "--form", "edgelist"],  # no abbreviations
         ["generate", "--m", "2", "--out", "never-written"],
         ["generate", "--n", "2", "--m", "2", "--density", "abc", "--out", "never-written"],
+        [],
     ],
 )
 def test_usage_errors_are_input_errors(capsys, argv):

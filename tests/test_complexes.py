@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import G5_EDGES, P5_EDGES, cw_corpus, random_graph
+from corpus import G5_EDGES, P5_EDGES, cw_corpus, random_graph, shelling_past_the_cap
 from cwgraphs import (
     SimplicialComplex,
     build_cw,
@@ -441,6 +441,21 @@ def test_vd_and_pure_implies_oracle_shelling():
         assert oracle_shelling_exists(cx)[0]
         checked += 1
     assert checked > 5
+
+
+def test_cw_shelling_size_guard_comes_before_any_facet(monkeypatch):
+    def no_facet(*args):
+        raise AssertionError("a facet was built past the cap")
+
+    monkeypatch.setattr(shelling, "FacetProvenance", no_facet)
+    with pytest.raises(SizeGuard, match="8193 facets, cap is 4096"):
+        cw_shelling(decompose(shelling_past_the_cap()))
+
+
+def test_complex_vd_size_guard():
+    wide = SimplicialComplex([[f"v{i}" for i in range(27)]])
+    with pytest.raises(SizeGuard, match="cap is 26 vertices"):
+        is_vertex_decomposable(wide)
 
 
 def test_cw_shelling_count_check_raises(monkeypatch):

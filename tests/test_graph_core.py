@@ -214,6 +214,9 @@ def test_parse_edge_list_errors():
     assert exc.value.lineno == 1
     with pytest.raises(EmptyGraph):
         parse_edge_list("# nothing\n")
+    with pytest.raises(ParseError, match="expected 'vertex <label>'") as exc:
+        parse_edge_list("vertex a b\n")
+    assert exc.value.lineno == 1
 
 
 def test_parse_graph_json():
@@ -224,6 +227,8 @@ def test_parse_graph_json():
         parse_graph_json("{not json")
     with pytest.raises(ParseError):
         parse_graph_json('{"vertices": []}')
+    with pytest.raises(EmptyGraph):
+        parse_graph_json('{"vertices": [], "edges": []}')
 
 
 @pytest.mark.parametrize(

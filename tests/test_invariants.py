@@ -216,6 +216,23 @@ def test_regularity_star_check_raises(monkeypatch):
         regularity_cw(from_edge_list(STAR7_EDGES))
 
 
+@pytest.mark.parametrize("edges", [[("c", f"l{i}") for i in range(1, 6)], STAR7_EDGES])
+def test_full_report_star_check_raises(monkeypatch, edges):
+    monkeypatch.setattr(invariants, "induced_matching_number", lambda g: (0, ()))
+    with pytest.raises(NotInFamily, match="classification bug"):
+        full_report(from_edge_list(edges))
+
+
+def test_full_report_on_a_star_past_the_matching_cap():
+    # 71 vertices: m is refused by its vertex cap, so reg is not pinned
+    rep = full_report(from_edge_list([("c", f"l{i}") for i in range(1, 71)]))
+    assert rep.classification.tag == "Star"
+    assert rep.m is None and rep.im == 1
+    assert rep.reg is None
+    assert rep.reasons["reg"] == "size guard on the matching invariants"
+    assert rep.partial is True
+
+
 def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
     def no_search(g, cap=None):
         raise AssertionError("exponential matching search on a Cameron-Walker graph")

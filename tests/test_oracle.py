@@ -32,6 +32,11 @@ def test_oracle_matchings_budget():
     assert oracle_matchings(big, OracleBudget(max_edges=21)) == (3, 1)
 
 
+def test_oracle_max_independent_sets_budget():
+    with pytest.raises(BudgetExceeded, match="vertex budget is 16, graph has 17"):
+        oracle_max_independent_sets(complete_graph(17))
+
+
 def test_oracle_max_independent_sets():
     assert oracle_max_independent_sets(from_edge_list([("a", "b")])) == (("a",), ("b",))
     g5 = from_edge_list(G5_EDGES)

@@ -1,6 +1,7 @@
 """Classification, decomposition, constructions, and the generator."""
 
 import gc
+import itertools
 import json
 import tracemalloc
 
@@ -16,6 +17,7 @@ from cwgraphs import (
     classify,
     decompose,
     decomposition_from_json,
+    enumerate_labeled_graphs,
     from_edge_list,
     random_cw,
     whisker_partition,
@@ -27,6 +29,7 @@ from cwgraphs.errors import (
     NotAClique,
     NotAPartition,
     NotCameronWalker,
+    ParseError,
 )
 from cwgraphs import structure
 from cwgraphs.structure import (
@@ -49,6 +52,46 @@ def test_classify_star_triangles():
     assert classify(from_edge_list([("a", "b"), ("b", "c"), ("a", "c")])).tag == TAG_STAR_TRIANGLE
     assert classify(from_edge_list(STAR7_EDGES)).tag == TAG_STAR_TRIANGLE
     assert classify(star_triangle(4)).tag == TAG_STAR_TRIANGLE
+
+
+def _star_triangle_reference(g):
+    # The quadratic per-centre test that the degree test replaced.
+    nv = g.vertex_count
+    if nv < 3 or nv % 2 == 0 or g.edge_count != 3 * (nv - 1) // 2:
+        return False
+    for c in g.vertices:
+        others = [v for v in g.vertices if v != c]
+        ok = True
+        for v in others:
+            nbrs = g.neighborhood(v)
+            if len(nbrs) != 2 or c not in nbrs:
+                ok = False
+                break
+            partner = next(iter(nbrs - {c}))
+            if g.degree(partner) != 2:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def test_star_triangle_test_matches_the_reference():
+    for n in range(1, 7):
+        for g in enumerate_labeled_graphs(n):
+            assert structure._is_star_triangle(g) == _star_triangle_reference(g), g.edges
+    # star triangles with one edge removed, added or moved elsewhere
+    for t in range(1, 7):
+        st = star_triangle(t)
+        assert structure._is_star_triangle(st) and _star_triangle_reference(st)
+        edges = set(st.edges)
+        absent = [e for e in itertools.combinations(st.vertices, 2) if e not in edges]
+        variants = [edges - {e} for e in edges] + [edges | {e} for e in absent]
+        variants += [(edges - {e}) | {f} for e in edges for f in absent]
+        for es in variants:
+            g = Graph(st.vertices, es)
+            assert not structure._is_star_triangle(g), sorted(es)
+            assert not _star_triangle_reference(g), sorted(es)
 
 
 def test_classify_p5():
@@ -173,6 +216,11 @@ def test_decomposition_json_round_trip():
     assert set(payload) == {"left", "right", "support_edges", "leaves", "triangles"}
     again = decomposition_from_json(dec.to_json())
     assert again == dec
+    with pytest.raises(ParseError, match="invalid JSON"):
+        decomposition_from_json("{not json")
+    del payload["triangles"]
+    with pytest.raises(ParseError, match="malformed decomposition JSON"):
+        decomposition_from_json(json.dumps(payload))
 
 
 def test_classification_soundness_on_family():
@@ -201,6 +249,10 @@ def test_certificate_rejects_tampered_graph():
     bridged = Graph(g.vertices, g.edges + (("z1_1", "w1_1+"),))
     with pytest.raises(InvalidDecomposition, match="joins two matching edges"):
         certify_cw(bridged, dec)
+    # a matching edge that g lacks
+    torn = Graph(g.vertices, [e for e in g.edges if e != ("x1", "z1_1")])
+    with pytest.raises(InvalidDecomposition, match="is not an edge"):
+        certify_cw(torn, dec)
 
 
 def test_attach_cliques():
@@ -278,22 +330,26 @@ def test_validate_rejects_bad_decompositions():
     # a bad certificate cannot be built; validate stays callable
     dec = random_cw(2, 2, 1, 1, 0.0, 7)
     dec.validate()
-    with pytest.raises(InvalidDecomposition, match="at least one leaf"):
-        type(dec)(
-            support=dec.support,
-            left=dec.left,
-            right=dec.right,
-            leaf_map={**dec.leaf_map, dec.left[0]: ()},
-            triangle_map=dec.triangle_map,
-        )
-    with pytest.raises(InvalidDecomposition, match="not connected"):
-        type(dec)(
-            support=Graph(dec.support.vertices, dec.support.edges[:1]),
-            left=dec.left,
-            right=dec.right,
-            leaf_map=dec.leaf_map,
-            triangle_map=dec.triangle_map,
-        )
+    # support x1-y1-x2-y2, leaves z1_1 and z2_1, one triangle on each y
+    support, tri = dec.support, dict(dec.triangle_map)
+    bad = [
+        ("both sides", {"right": (), "triangle_map": {}}),
+        ("partition", {"left": ("x1",), "leaf_map": {"x1": ("z1_1",)}}),
+        ("overlap", {"left": ("x1", "x2", "y1")}),
+        ("not connected", {"support": Graph(support.vertices, support.edges[:1])}),
+        ("inside one side", {"support": Graph(support.vertices, (*support.edges, ("x1", "x2")))}),
+        ("leaf_map keys", {"leaf_map": {"x1": ("z1_1",)}}),
+        ("triangle_map keys", {"triangle_map": {"y1": tri["y1"]}}),
+        ("at least one leaf", {"leaf_map": {**dec.leaf_map, "x1": ()}}),
+        ("triangle-bearing ones first", {"triangle_map": {"y1": (), "y2": tri["y2"]}}),
+        ("fresh and distinct", {"leaf_map": {"x1": ("z1_1",), "x2": ("z1_1",)}}),
+        ("fresh and distinct", {"leaf_map": {"x1": ("z1_1",), "x2": ("y2",)}}),
+        ("fresh and distinct", {"triangle_map": {"y1": tri["y1"], "y2": tri["y1"]}}),
+    ]
+    fields = {name: getattr(dec, name) for name in type(dec).__slots__}
+    for message, changes in bad:
+        with pytest.raises(InvalidDecomposition, match=message):
+            type(dec)(**{**fields, **changes})
 
 
 def test_classify_result_stays_small():

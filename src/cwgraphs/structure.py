@@ -86,6 +86,8 @@ class CWDecomposition(FrozenRecord):
         # does not make the stored support build its adjacency.
         if not self.left or not self.right:
             raise InvalidDecomposition("support needs vertices on both sides")
+        if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
+            raise InvalidDecomposition("a vertex repeats within left or right")
         if set(self.support.vertices) != set(self.left) | set(self.right):
             raise InvalidDecomposition("left/right must partition the support vertices")
         if set(self.left) & set(self.right):
@@ -270,8 +272,9 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     of g meets a left vertex or lies inside one of the odd sets
     {y} + triangle vertices at y, so no matching has more than
     n + sum_y t_y = n + t edges.  The constructor's ``validate`` already
-    makes the matching edges and the cover's parts disjoint, so only g's
-    edges are checked.  Linear in |V| + |E|; raises
+    makes the labels of each side distinct, the sides disjoint and the
+    attachment labels fresh and distinct, hence the matching edges and
+    the cover's parts disjoint, so only g's edges are checked.  Linear in |V| + |E|; raises
     InvalidDecomposition when either half fails.
     """
     matching = [(x, dec.leaf_map[x][0]) for x in dec.left]

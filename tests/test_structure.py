@@ -221,6 +221,17 @@ def test_decomposition_json_round_trip():
     del payload["triangles"]
     with pytest.raises(ParseError, match="malformed decomposition JSON"):
         decomposition_from_json(json.dumps(payload))
+    # A repeated left label would make n count x1 twice and let
+    # certify_cw read m = im = 2 off the path y1 - x1 - z2_1 (truly 1).
+    repeated = {
+        "left": ["x1", "x1"],
+        "right": ["y1"],
+        "support_edges": [["x1", "y1"]],
+        "leaves": {"x1": 1},
+        "triangles": {"y1": 0},
+    }
+    with pytest.raises(InvalidDecomposition, match="repeats"):
+        decomposition_from_json(json.dumps(repeated))
 
 
 def test_classification_soundness_on_family():
@@ -336,6 +347,8 @@ def test_validate_rejects_bad_decompositions():
         ("both sides", {"right": (), "triangle_map": {}}),
         ("partition", {"left": ("x1",), "leaf_map": {"x1": ("z1_1",)}}),
         ("overlap", {"left": ("x1", "x2", "y1")}),
+        ("repeats", {"left": ("x1", "x2", "x1")}),
+        ("repeats", {"right": ("y1", "y2", "y2")}),
         ("not connected", {"support": Graph(support.vertices, support.edges[:1])}),
         ("inside one side", {"support": Graph(support.vertices, (*support.edges, ("x1", "x2")))}),
         ("leaf_map keys", {"leaf_map": {"x1": ("z1_1",)}}),

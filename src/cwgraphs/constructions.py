@@ -23,24 +23,32 @@ def decomposition_from_json(text: str) -> CWDecomposition:
     """Rebuild a decomposition from its JSON form.
 
     The schema carries leaf/triangle counts only, so attachment vertices
-    get canonical names keyed by position (z{i}_{l}, w{j}_{k}+/-).
+    get canonical names keyed by position (z{i}_{l}, w{j}_{k}+/-).  Each
+    count must be a JSON integer >= 0, not a fraction or a boolean.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+    def count(kind: str, v: str) -> int:
+        k = payload[kind][v]
+        if type(k) is not int or k < 0:  # bool is a subclass of int
+            raise ValueError(f"{kind} count {k!r} at {v!r} is not an integer >= 0")
+        return k
+
     try:
         left = tuple(payload["left"])
         right = tuple(payload["right"])
         support = Graph(left + right, [tuple(e) for e in payload["support_edges"]])
         leaf_map = {
-            x: tuple(f"z{i}_{l}" for l in range(1, int(payload["leaves"][x]) + 1))
+            x: tuple(f"z{i}_{l}" for l in range(1, count("leaves", x) + 1))
             for i, x in enumerate(left, start=1)
         }
         triangle_map = {
             y: tuple(
                 (f"w{j}_{k}+", f"w{j}_{k}-")
-                for k in range(1, int(payload["triangles"][y]) + 1)
+                for k in range(1, count("triangles", y) + 1)
             )
             for j, y in enumerate(right, start=1)
         }

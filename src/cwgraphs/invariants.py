@@ -175,22 +175,35 @@ def projective_dimension_cw(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> int:
     return g.vertex_count - i_g
 
 
-def regularity_cw(g: Graph) -> int:
-    """Regularity for the im = m families, where the sandwich
-    im <= reg <= m pins it to the common value: n + t on a certified
-    Cameron-Walker graph, the searched value on stars and star
-    triangles."""
-    cls = classify(g)
-    if cls.tag not in _IM_EQUALS_M:
-        raise NotInFamily(f"regularity is only pinned down for im = m graphs, got {cls.tag}")
+def _family_matching_number(g: Graph, cls: Classification) -> int:
+    """The common value m = im of an im = m family member, read off its
+    recognition without a search.
+
+    - Cameron-Walker: n + t, which ``certify_cw`` proves with an induced
+      matching of that size and an odd-set cover of the same size.
+    - Star K_{1,k}: every edge meets the centre, so m = im = min(1, |E|).
+    - Star triangle: the non-centre vertices have degree 2, so they pair
+      off into t = (|V| - 1)/2 disjoint edges.  Their only other
+      neighbour is the centre, so those edges form an induced matching,
+      and with |V| = 2t + 1 no matching is larger: m = im = |V| // 2.
+    """
     dec = cls.decomposition
     if dec is not None:
         return dec.n + dec.t
-    m, _ = matching_number(g)
-    im, _ = induced_matching_number(g)
-    if im != m:
-        raise NotInFamily(f"{cls.tag} with im = {im} != m = {m}; classification bug")
-    return m
+    if cls.tag == TAG_STAR:
+        return min(1, g.edge_count)
+    return g.vertex_count // 2
+
+
+def regularity_cw(g: Graph) -> int:
+    """Regularity for the im = m family, where the sandwich
+    im <= reg <= m pins it to the common value, read off the recognition
+    at any size: n + t on a Cameron-Walker graph, 1 on a star with an
+    edge, t on t triangles glued at a centre."""
+    cls = classify(g)
+    if cls.tag not in _IM_EQUALS_M:
+        raise NotInFamily(f"regularity is only pinned down for im = m graphs, got {cls.tag}")
+    return _family_matching_number(g, cls)
 
 
 # The report's fields in JSON order; cover_size_counts is written out
@@ -290,18 +303,17 @@ class InvariantReport(Record):
 def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     """Aggregate every invariant; size-guarded fields degrade to None.
 
-    Each artifact is computed once: m and im come from the certificate
-    of a Cameron-Walker graph (searched only on other graphs), and
-    the cover size counts and i(G) are counted from the facet sizes of
-    one independence complex.  The theorems give the rest at any size:
-    in the im = m family every graph is vertex decomposable, hence
-    sequentially Cohen-Macaulay, a Cameron-Walker graph is unmixed iff
-    Cohen-Macaulay, a star iff it has at most two vertices and a star
-    triangle iff it is one triangle.  Where the complex fits the cap its
-    purity must agree with that verdict, or InvalidDecomposition
-    (Cameron-Walker) or NotInFamily (star, star triangle) is raised.  On
-    a star or star triangle reg is the searched m, and a searched im
-    that differs raises NotInFamily, as in ``regularity_cw``.
+    Each artifact is computed once.  On the im = m family (Cameron-Walker,
+    star, star triangle) m = im = reg come from the recognition at any
+    size, and the theorems give the rest: every member is vertex
+    decomposable, hence sequentially Cohen-Macaulay, a Cameron-Walker
+    graph is unmixed iff Cohen-Macaulay, a star iff it has at most two
+    vertices and a star triangle iff it is one triangle.  Where the
+    complex fits the cap its purity must agree with that closed form, or
+    InvalidDecomposition (Cameron-Walker) or NotInFamily (star, star
+    triangle) is raised.  Only ``Other`` graphs run the matching and
+    vertex-decomposability searches.  The cover size counts and i(G) are
+    counted from the facet sizes of one independence complex.
     """
     rep = InvariantReport()
 
@@ -314,11 +326,6 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
 
     cls = rep.classification = classify(g)
     dec = cls.decomposition
-    if dec is not None:
-        rep.m = rep.im = dec.n + dec.t
-    else:
-        guarded("m", lambda: matching_number(g)[0])
-        guarded("im", lambda: induced_matching_number(g)[0])
 
     try:
         facets = independence_complex(g, cap=cap).facets
@@ -334,26 +341,36 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
         rep.cover_size_counts = tuple(sorted((g.vertex_count - s, c) for s, c in counts.items()))
         rep.i_g = min(counts)
 
-    if cls.tag in (TAG_STAR, TAG_STAR_TRIANGLE):
-        # K_{1,k} has the covers {centre} and the k leaves; t triangles at
-        # a centre have covers of sizes 2t and t + 1.
-        unmixed = g.vertex_count <= 2 if cls.tag == TAG_STAR else g.vertex_count == 3
+    if cls.tag in _IM_EQUALS_M:
+        rep.m = rep.im = rep.reg = _family_matching_number(g, cls)
+        # Unmixed iff CM on a Cameron-Walker graph.  K_{1,k} has the covers
+        # {centre} and the k leaves; t triangles at a centre have covers of
+        # sizes 2t and t + 1.
+        if dec is not None:
+            unmixed = is_cm_cw(dec)
+        else:
+            unmixed = g.vertex_count <= 2 if cls.tag == TAG_STAR else g.vertex_count == 3
         if rep.unmixed is not None and rep.unmixed != unmixed:
-            raise NotInFamily(
+            error = NotInFamily if dec is None else InvalidDecomposition
+            raise error(
                 f"independence complex purity {rep.unmixed} contradicts the closed form"
                 f" unmixed = {unmixed} of a {cls.tag} on {g.vertex_count} vertices"
             )
         rep.unmixed = unmixed
         rep.reasons.pop("unmixed", None)
+        rep.vertex_decomposable = rep.sequentially_cm = True
+    else:
+        guarded("m", lambda: matching_number(g)[0])
+        guarded("im", lambda: induced_matching_number(g)[0])
+        guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g, cap=cap)[0])
+        if rep.vertex_decomposable:
+            rep.sequentially_cm = True
+        else:
+            rep.reasons["sequentially_cm"] = "no vertex-decomposability certificate"
+        rep.reasons["reg"] = "regularity is only pinned down when im = m"
 
     if dec is not None:
-        rep.cm = is_cm_cw(dec)
-        if rep.unmixed is not None and rep.unmixed != rep.cm:
-            raise InvalidDecomposition(
-                f"independence complex purity {rep.unmixed} contradicts unmixed = CM = {rep.cm}"
-            )
-        rep.unmixed = rep.cm
-        rep.reasons.pop("unmixed", None)
+        rep.cm = rep.unmixed
         if rep.cm:
             rep.cm_type = cm_type_cw(dec, cap=cap)
             if dec.n + 2 * dec.m > cap:
@@ -362,37 +379,12 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
         else:
             rep.reasons["cm_type"] = "not Cohen-Macaulay"
             rep.gorenstein = False
-    else:
-        for name in ("cm", "cm_type", "gorenstein"):
-            rep.reasons[name] = "only computed for Cameron-Walker graphs"
-
-    if cls.tag in _IM_EQUALS_M:
-        rep.vertex_decomposable = True
-    else:
-        guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g, cap=cap)[0])
-    if rep.vertex_decomposable:
-        rep.sequentially_cm = True
-    else:
-        rep.reasons["sequentially_cm"] = "no vertex-decomposability certificate"
-
-    if dec is not None:
         if rep.i_g is not None:
             rep.pd = g.vertex_count - rep.i_g
         else:
             rep.reasons["pd"] = rep.reasons["i_g"]
     else:
-        rep.reasons["pd"] = "only computed for Cameron-Walker graphs"
-
-    if cls.tag in _IM_EQUALS_M:
-        if rep.m is not None and rep.im is not None:
-            if rep.im != rep.m:
-                raise NotInFamily(
-                    f"{cls.tag} with im = {rep.im} != m = {rep.m}; classification bug"
-                )
-            rep.reg = rep.m
-        else:
-            rep.reasons["reg"] = "size guard on the matching invariants"
-    else:
-        rep.reasons["reg"] = "regularity is only pinned down when im = m"
+        for name in ("cm", "cm_type", "gorenstein", "pd"):
+            rep.reasons[name] = "only computed for Cameron-Walker graphs"
 
     return rep

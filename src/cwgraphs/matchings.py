@@ -40,22 +40,19 @@ def _check_edges(g: Graph, edges) -> list[Edge]:
     return out
 
 
+def _disjoint(es: list[Edge]) -> bool:
+    return len({v for e in es for v in e}) == 2 * len(es)
+
+
 def is_matching(g: Graph, edges) -> bool:
     """True iff the edges are pairwise disjoint."""
-    es = _check_edges(g, edges)
-    used: set[str] = set()
-    for u, v in es:
-        if u in used or v in used:
-            return False
-        used.add(u)
-        used.add(v)
-    return True
+    return _disjoint(_check_edges(g, edges))
 
 
 def is_induced_matching(g: Graph, edges) -> bool:
     """True iff a matching with no graph edge bridging two of its members."""
     es = _check_edges(g, edges)
-    if not is_matching(g, es):
+    if not _disjoint(es):
         return False
     for i in range(len(es)):
         for j in range(i + 1, len(es)):

@@ -282,7 +282,7 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     slot: dict[str, int] = {}
     for i, (a, b) in enumerate(matching):
         if not g.has_edge(a, b):
-            raise InvalidDecomposition(f"{(a, b)!r} is not an edge disjoint from the matching")
+            raise InvalidDecomposition(f"{(a, b)!r} is not an edge of the graph")
         slot[a] = slot[b] = i
 
     left = set(dec.left)

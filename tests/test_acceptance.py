@@ -80,9 +80,9 @@ def test_criterion_1_paper_constants():
 
 
 def test_criterion_2_classification_completeness():
-    with criterion(2, "classification = connected with im = m, exhaustively on 5 and 6 vertices"):
+    with criterion(2, "classification = connected with im = m, exhaustively on 1 to 6 vertices"):
         start = time.time()
-        for n in (5, 6):
+        for n in range(1, 7):
             for g in enumerate_labeled_graphs(n):
                 in_family = classify(g).tag != TAG_OTHER
                 connected = g.is_connected()
@@ -91,6 +91,9 @@ def test_criterion_2_classification_completeness():
                     m, im = oracle_matchings(g)
                     equal = m == im
                 assert in_family == (connected and equal), g.edges
+                if in_family:
+                    # reg is read off the recognition: it must be the common value
+                    assert regularity_cw(g) == m == im, g.edges
         assert time.time() - start < 300.0
 
 

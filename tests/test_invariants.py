@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, complete_graph, cw_corpus, petersen
+from corpus import (
+    G5_EDGES,
+    P5_EDGES,
+    STAR7_EDGES,
+    complete_graph,
+    cw_corpus,
+    petersen,
+    star_triangle,
+)
 from cwgraphs import (
     build_cw,
     cm_type_cw,
@@ -210,27 +218,43 @@ def test_regularity():
         regularity_cw(petersen())
 
 
-def test_regularity_star_check_raises(monkeypatch):
-    monkeypatch.setattr(invariants, "induced_matching_number", lambda g: (0, ()))
-    with pytest.raises(NotInFamily, match="classification bug"):
-        regularity_cw(from_edge_list(STAR7_EDGES))
+@pytest.mark.parametrize(
+    "g, value",
+    [
+        (from_edge_list([], isolated=["v"]), 0),
+        (from_edge_list([("c", f"l{i}") for i in range(1, 6)]), 1),
+        (from_edge_list(STAR7_EDGES), 3),
+        (from_edge_list(G5_EDGES), 2),
+    ],
+    ids=["k1", "star", "star-triangle", "cw"],
+)
+def test_im_equals_m_family_matchings_come_from_the_recognition(monkeypatch, g, value):
+    def no_search(g, cap=None):
+        raise AssertionError("exponential matching search on an im = m graph")
 
-
-@pytest.mark.parametrize("edges", [[("c", f"l{i}") for i in range(1, 6)], STAR7_EDGES])
-def test_full_report_star_check_raises(monkeypatch, edges):
-    monkeypatch.setattr(invariants, "induced_matching_number", lambda g: (0, ()))
-    with pytest.raises(NotInFamily, match="classification bug"):
-        full_report(from_edge_list(edges))
+    monkeypatch.setattr(invariants, "matching_number", no_search)
+    monkeypatch.setattr(invariants, "induced_matching_number", no_search)
+    assert regularity_cw(g) == value
+    rep = full_report(g)
+    assert rep.m == rep.im == rep.reg == value
 
 
 def test_full_report_on_a_star_past_the_matching_cap():
-    # 71 vertices: m is refused by its vertex cap, so reg is not pinned
-    rep = full_report(from_edge_list([("c", f"l{i}") for i in range(1, 71)]))
-    assert rep.classification.tag == "Star"
-    assert rep.m is None and rep.im == 1
-    assert rep.reg is None
-    assert rep.reasons["reg"] == "size guard on the matching invariants"
-    assert rep.partial is True
+    # A 70-leaf star has 71 vertices, past the 64-vertex cap of m; 40
+    # triangles at a centre have 81 vertices and 120 edges, past both
+    # matching caps.  The recognition still gives m = im = reg; only the
+    # complex is refused, so the report stays partial.
+    star = from_edge_list([("c", f"l{i}") for i in range(1, 71)])
+    triangles = star_triangle(40)
+    assert (triangles.vertex_count, triangles.edge_count) == (81, 120)
+    for g, tag, value in [(star, "Star", 1), (triangles, "StarTriangle", 40)]:
+        rep = full_report(g)
+        assert rep.classification.tag == tag
+        assert rep.m == rep.im == rep.reg == regularity_cw(g) == value
+        assert rep.unmixed is False
+        for name in ("cover_cardinalities", "i_g"):
+            assert getattr(rep, name) is None and "cap is 26" in rep.reasons[name]
+        assert rep.partial is True
 
 
 def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
@@ -239,7 +263,6 @@ def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
 
     monkeypatch.setattr(invariants, "matching_number", no_search)
     monkeypatch.setattr(invariants, "induced_matching_number", no_search)
-    assert regularity_cw(from_edge_list(G5_EDGES)) == 2
     rep = full_report(from_edge_list(P5_EDGES))
     assert (rep.m, rep.im, rep.reg) == (2, 2, 2)
     # 67 vertices and 106 edges: above both matching caps

@@ -232,6 +232,12 @@ def test_decomposition_json_round_trip():
     }
     with pytest.raises(InvalidDecomposition, match="repeats"):
         decomposition_from_json(json.dumps(repeated))
+    # A count is a JSON integer >= 0: 1.7 and true used to read as 1,
+    # -3 as 0.
+    for kind, side, bad in [("leaves", "x1", 1.7), ("leaves", "x1", True), ("triangles", "y1", -3)]:
+        malformed = {**repeated, "left": ["x1"], kind: {side: bad}}
+        with pytest.raises(ParseError, match="malformed decomposition JSON"):
+            decomposition_from_json(json.dumps(malformed))
 
 
 def test_classification_soundness_on_family():

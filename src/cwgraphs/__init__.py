@@ -1,12 +1,18 @@
 """Cameron-Walker graphs: recognition, decomposition, edge-ideal invariants.
 
 The public surface re-exports the main types and operations of each
-submodule; everything is pure and deterministic.  The modules that
-``cwgraphs analyze`` needs are imported here; the explicit shelling,
-the graph constructions and the brute-force oracle are imported on first
-use of one of their names (PEP 562), so the command line never compiles
-them.  ``cw_shelling`` and ``random_cw`` are the stand-ins that
-``complexes`` and ``structure`` keep for those two functions.
+submodule; everything is pure and deterministic.  It holds what the
+fast paths, the brute-force oracle and the command line use; the
+set-level references that tests check them against (links and
+deletions of a complex, the shelling orders as comparators) live in the
+tests.
+
+The modules that ``cwgraphs analyze`` needs are imported here; the
+explicit shelling, the graph constructions and the brute-force oracle
+are imported on first use of one of their names (PEP 562), so the
+command line never compiles them.  ``cw_shelling`` and ``random_cw``
+are the stand-ins that ``complexes`` and ``structure`` keep for those
+two functions.
 """
 
 from .complexes import (
@@ -64,7 +70,7 @@ __version__ = "0.1.0"
 # own name resolves to the submodule.
 _LAZY = {
     **dict.fromkeys(
-        ("shelling", "FacetProvenance", "ShellingOrder", "sign_vector_less", "subset_less"),
+        ("shelling", "FacetProvenance", "ShellingOrder"),
         "shelling",
     ),
     **dict.fromkeys(

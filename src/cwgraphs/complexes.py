@@ -2,15 +2,12 @@
 
 Complexes are stored as facet lists.  The maximal independent sets of a
 graph are the facets of its independence complex, i.e. the maximal
-cliques of the complement; links and deletions recompute maximal faces
-from the set-level definitions.
+cliques of the complement.
 """
 
 from __future__ import annotations
 
-import json
-
-from .errors import NotAPermutation, SizeGuard, UnknownVertex
+from .errors import NotAPermutation, SizeGuard
 from .graph import Graph, label_key, sorted_labels
 from .structure import CWDecomposition
 
@@ -42,26 +39,21 @@ def _maximal_only(sets) -> tuple[frozenset[str], ...]:
 class SimplicialComplex:
     """Facet-list simplicial complex; equality compares facet sets.
 
-    ``vertices`` is an explicit ground set and may exceed the union of
-    the facets (so deleting a vertex that lies in no facet is legal and
-    leaves the facets untouched).
+    ``vertices`` is the union of the facets.
     """
 
     __slots__ = ("facets", "vertices")
 
-    def __init__(self, facets, vertices=None):
-        fs = [frozenset(f) for f in facets]
-        self.facets = _maximal_only(fs)
-        support = set().union(*self.facets) if self.facets else set()
-        if vertices is None:
-            self.vertices = frozenset(support)
-        else:
-            self.vertices = frozenset(vertices) | support
+    def __init__(self, facets):
+        self.facets = _maximal_only(frozenset(f) for f in facets)
+        self.vertices = frozenset().union(*self.facets)
 
     @classmethod
     def _from_maximal(cls, facets: tuple, vertices: frozenset) -> "SimplicialComplex":
         """Wrap facets that are already maximal, distinct and in
-        ``_facet_key`` order, on a ground set containing them all."""
+        ``_facet_key`` order; ``vertices`` must be their union.  The
+        independence complex passes the graph's vertex set, which is that
+        union because every vertex lies in a maximal independent set."""
         cx = cls.__new__(cls)
         cx.facets = facets
         cx.vertices = vertices
@@ -78,29 +70,8 @@ class SimplicialComplex:
     def __repr__(self):
         return f"SimplicialComplex({len(self.facets)} facets on {len(self.vertices)} vertices)"
 
-    def facet_support(self) -> frozenset[str]:
-        return frozenset().union(*self.facets) if self.facets else frozenset()
-
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
-
-    def link(self, v: str) -> "SimplicialComplex":
-        if v not in self.vertices:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        hit = [f - {v} for f in self.facets if v in f]
-        return SimplicialComplex(hit, vertices=self.vertices - {v})
-
-    def delete(self, v: str) -> "SimplicialComplex":
-        if v not in self.vertices:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        return SimplicialComplex(
-            [f - {v} for f in self.facets], vertices=self.vertices - {v}
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"facets": [sorted(f, key=label_key) for f in self.facets]}
-        )
 
 
 def _check_ceiling(what: str, count: int) -> None:
@@ -194,7 +165,7 @@ def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
     input.  Results are memoized for this call only, keyed by the facet
     masks in ascending order.
     """
-    support = c.facet_support()
+    support = c.vertices
     if len(support) > cap:
         raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
     _check_ceiling("vertex-decomposability", len(support))

@@ -11,7 +11,7 @@ import json
 import re
 import sys
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import (
     Disconnected,
@@ -131,15 +131,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def __len__(self) -> int:
-        return len(self._vertices)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._vertices)
-
-    def __contains__(self, v: str) -> bool:
-        return v in self._adjacency()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -165,11 +156,9 @@ class Graph:
         if v not in self._adjacency():
             raise UnknownVertex(f"unknown vertex {v!r}")
 
-    def neighborhood(self, v: str, closed: bool = False) -> frozenset[str]:
-        """Open neighbourhood N(v), or the closed N[v] = N(v) + {v}."""
+    def neighborhood(self, v: str) -> frozenset[str]:
+        """Open neighbourhood N(v)."""
         self._require(v)
-        if closed:
-            return self._adjacency()[v] | {v}
         return self._adjacency()[v]
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
@@ -184,15 +173,6 @@ class Graph:
         sub._edges = tuple(e for e in self._edges if e[0] in kept and e[1] in kept)
         sub._adj = None
         return sub
-
-    def delete(self, drop: Iterable[str] | str) -> "Graph":
-        """Induced subgraph on the complement of ``drop``."""
-        if isinstance(drop, str):
-            drop = {drop}
-        dropped = set(drop)
-        for v in dropped:
-            self._require(v)
-        return self.induced_subgraph(set(self._vertices) - dropped)
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Maximal connected vertex sets, each sorted, listed by smallest member."""
@@ -216,14 +196,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
-
-    def bipartition(self) -> BipartitePartition | None:
-        """2-coloring by breadth-first layering; None if an odd cycle exists.
-
-        Requires a connected graph; the side of the canonically smallest
-        vertex is "left".
-        """
-        return two_coloring(self, self._vertices)
 
     def leaves(self) -> tuple[str, ...]:
         """All vertices of degree 1."""

@@ -152,9 +152,11 @@ def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
 
 
 def is_gorenstein_cw(dec: CWDecomposition) -> bool:
-    """Gorenstein means Cohen-Macaulay of type 1; the type is 2^m >= 2, so
-    this is always False."""
-    return is_cm_cw(dec) and cm_type_cw(dec) == 1
+    """Always False, by the paper's theorem: Gorenstein means
+    Cohen-Macaulay of type 1, a Cohen-Macaulay Cameron-Walker graph has
+    type 2^m, and every decomposition has m >= 1 right vertices.  Builds
+    neither G' nor a complex."""
+    return False
 
 
 def independence_domination_number(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
@@ -312,7 +314,8 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     complex fits the cap its purity must agree with that closed form, or
     InvalidDecomposition (Cameron-Walker) or NotInFamily (star, star
     triangle) is raised.  Only ``Other`` graphs run the matching and
-    vertex-decomposability searches.  The cover size counts and i(G) are
+    vertex-decomposability searches; where they find im = m, the
+    sandwich im <= reg <= m gives reg.  The cover size counts and i(G) are
     counted from the facet sizes of one independence complex.
     """
     rep = InvariantReport()
@@ -367,7 +370,11 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
             rep.sequentially_cm = True
         else:
             rep.reasons["sequentially_cm"] = "no vertex-decomposability certificate"
-        rep.reasons["reg"] = "regularity is only pinned down when im = m"
+        # im <= reg <= m holds for every graph
+        if rep.m is not None and rep.m == rep.im:
+            rep.reg = rep.im
+        else:
+            rep.reasons["reg"] = "regularity is only pinned down when im = m"
 
     if dec is not None:
         rep.cm = rep.unmixed

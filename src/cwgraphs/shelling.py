@@ -19,43 +19,16 @@ from .records import FrozenRecord, set_field
 from .structure import CWDecomposition
 
 
-def sign_vector_less(a, b) -> bool:
-    """Strict order on equal-length +/- vectors: fewer plusses first; on a
-    tie the vector with '+' at the first differing entry is smaller."""
-    a = tuple(a)
-    b = tuple(b)
-    if len(a) != len(b):
-        raise LengthMismatch(f"sign vectors of lengths {len(a)} and {len(b)}")
-    ap = a.count(PLUS)
-    bp = b.count(PLUS)
-    if ap != bp:
-        return ap < bp
-    for x, y in zip(a, b):
-        if x != y:
-            return x == PLUS
-    return False
-
-
-def subset_less(a, b) -> bool:
-    """Strict order on index sets: larger cardinality is smaller; on a tie
-    compare the indicator-vector difference, left to right."""
-    sa = frozenset(a)
-    sb = frozenset(b)
-    if len(sa) != len(sb):
-        return len(sb) < len(sa)
-    if sa == sb:
-        return False
-    return min(sa ^ sb) in sb
-
-
 def _sign_vector_key(v) -> tuple:
-    """Sort key that orders equal-length sign vectors as sign_vector_less."""
+    """Sort key for equal-length +/- vectors: fewer plusses first; on a
+    tie the vector with '+' at the first differing entry first."""
     return v.count(PLUS), [s != PLUS for s in v]
 
 
 def _subset_key(s) -> tuple:
-    """Sort key that orders index sets as subset_less: on a tie in size
-    the larger set has the lower entry where the sorted tuples differ."""
+    """Sort key for index sets: larger cardinality first; on a tie the
+    set that lacks the least index of the symmetric difference first,
+    i.e. the one with the higher entry where the sorted tuples differ."""
     return -len(s), [-i for i in sorted(s)]
 
 

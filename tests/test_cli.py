@@ -149,6 +149,36 @@ def test_oracle_disagreement_exits_4(capsys, monkeypatch):
     assert err == "oracle disagreement\n"
 
 
+def test_oracle_names_each_disagreement(capsys, monkeypatch):
+    from cwgraphs import oracle
+
+    monkeypatch.setattr(oracle, "oracle_max_independent_sets", lambda g, budget: ())
+    monkeypatch.setattr(oracle, "oracle_shelling_exists", lambda cx, budget: (False, None))
+    code, out, err = run(capsys, "oracle", str(DATA / "g5.edges"))
+    assert code == 4
+    assert json.loads(out)["mismatches"] == [
+        "maximal independent sets differ",
+        "minimal vertex covers differ",
+        "vertex decomposable but no shelling found",
+    ]
+    assert err == "oracle disagreement\n"
+
+
+def test_other_package_errors_exit_1(capsys, monkeypatch):
+    # an error outside the input and size-guard groups, such as a
+    # certificate that fails its own check, still exits without a traceback
+    from cwgraphs import invariants
+    from cwgraphs.errors import InvalidDecomposition
+
+    def fail(g, cap):
+        raise InvalidDecomposition("witness cover failed its minimality check")
+
+    monkeypatch.setattr(invariants, "full_report", fail)
+    code, out, err = run(capsys, "analyze", str(DATA / "g5.edges"))
+    assert code == 1
+    assert out == "" and err == "error: witness cover failed its minimality check\n"
+
+
 def test_shelling_past_the_facet_cap_is_a_size_guard(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in shelling_past_the_cap().edges))

@@ -21,8 +21,6 @@ from cwgraphs import (
     oracle_shelling_exists,
     parse_edge_list,
     random_cw,
-    sign_vector_less,
-    subset_less,
     verify_shelling,
 )
 from cwgraphs import shelling
@@ -32,7 +30,6 @@ from cwgraphs.errors import (
     NotAPermutation,
     NotCompleteBipartiteSupport,
     SizeGuard,
-    UnknownVertex,
 )
 from cwgraphs.graph import Graph
 
@@ -126,17 +123,28 @@ def test_purity():
     assert SimplicialComplex([{"a", "b"}]).is_pure()
 
 
-def test_link_and_delete():
-    cx = g5_complex()
-    link = cx.link("x1")
-    assert set(link.facets) == {frozenset({"w1_1+"}), frozenset({"w1_1-"})}
-    # delete on a vertex in no facet leaves the complex unchanged
-    simplex = SimplicialComplex([{"a", "b"}], vertices={"a", "b", "q"})
-    assert simplex.delete("q") == simplex
-    # link of a simplex vertex is the simplex on the rest
-    assert simplex.link("a") == SimplicialComplex([{"b"}])
-    with pytest.raises(UnknownVertex):
-        cx.link("nope")
+def test_complex_equality_hash_and_repr():
+    # faces below a facet are dropped, so these are one complex
+    a = SimplicialComplex([{"a", "b"}, {"a"}])
+    b = SimplicialComplex([("b", "a")])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a.facets and a != {"a", "b"}
+    assert repr(a) == "SimplicialComplex(1 facets on 2 vertices)"
+
+
+def test_vertices_are_the_union_of_the_facets():
+    rng = random.Random(5)
+    for _ in range(50):
+        raw = [[v for v in "abcdefg" if rng.random() < 0.4] for _ in range(rng.randint(0, 5))]
+        assert SimplicialComplex(raw).vertices == frozenset().union(*map(frozenset, raw))
+    # independence_complex passes the graph's vertex set as the union:
+    # every vertex, an isolated one too, lies in a maximal independent set
+    graphs = [build_cw(dec) for dec in cw_corpus()]
+    graphs += [random_graph(rng, 8, 0.2) for _ in range(30)]
+    graphs += [Graph(["a", "b", "q"], [("a", "b")]), Graph(["q"]), Graph([])]
+    for g in graphs:
+        cx = independence_complex(g)
+        assert cx.vertices == frozenset(g.vertices) == frozenset().union(*cx.facets)
 
 
 def test_vertex_decomposable_base_cases():
@@ -215,14 +223,17 @@ def test_vd_complex_witnesses_are_pinned():
 
 def test_complex_vd_builds_no_subcomplex(monkeypatch):
     # the VD test takes links and deletions on facet masks
-    def refuse(self, v):
+    cxs = [independence_complex(build_cw(dec)) for dec in cw_corpus()[:20]]
+    two_edges = SimplicialComplex([{"a", "b"}, {"c", "d"}])
+
+    def refuse(*args):
         raise RuntimeError("subcomplex built")
 
-    monkeypatch.setattr(SimplicialComplex, "link", refuse)
-    monkeypatch.setattr(SimplicialComplex, "delete", refuse)
-    for dec in cw_corpus()[:20]:
-        assert is_vertex_decomposable(independence_complex(build_cw(dec)))[0]
-    assert not is_vertex_decomposable(SimplicialComplex([{"a", "b"}, {"c", "d"}]))[0]
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    monkeypatch.setattr(SimplicialComplex, "_from_maximal", refuse)
+    for cx in cxs:
+        assert is_vertex_decomposable(cx)[0]
+    assert not is_vertex_decomposable(two_edges)[0]
 
 
 def test_vd_witness_shape():
@@ -302,12 +313,29 @@ def test_verify_shelling_matches_the_set_level_definition():
     assert len({idx for _, idx in verdicts}) > 4
 
 
+def sign_vector_less(a, b) -> bool:
+    """Strict order on equal-length +/- vectors, the reference for
+    ``shelling._sign_vector_key``: fewer plusses first; on a tie the
+    vector with '+' at the first differing entry is smaller."""
+    if a.count(PLUS) != b.count(PLUS):
+        return a.count(PLUS) < b.count(PLUS)
+    return next((x == PLUS for x, y in zip(a, b) if x != y), False)
+
+
+def subset_less(a, b) -> bool:
+    """Strict order on index sets, the reference for
+    ``shelling._subset_key``: larger cardinality is smaller; on a tie
+    compare the indicator-vector difference, left to right."""
+    sa, sb = frozenset(a), frozenset(b)
+    if len(sa) != len(sb):
+        return len(sb) < len(sa)
+    return sa != sb and min(sa ^ sb) in sb
+
+
 def test_sign_vector_order_examples():
     assert sign_vector_less((MINUS, MINUS, MINUS), (PLUS, MINUS, MINUS))
     assert sign_vector_less((PLUS, MINUS, MINUS), (MINUS, PLUS, MINUS))
     assert not sign_vector_less((PLUS, MINUS), (PLUS, MINUS))
-    with pytest.raises(LengthMismatch):
-        sign_vector_less((PLUS,), (PLUS, MINUS))
     # the paper-adjacent chain for length 3
     chain = [
         (MINUS, MINUS, MINUS),

@@ -15,7 +15,8 @@ from cwgraphs import (
     parse_graph_json,
     random_cw,
 )
-from cwgraphs.graph import sorted_labels
+from cwgraphs.complexes import _adjacency_masks
+from cwgraphs.graph import sorted_labels, two_coloring
 from cwgraphs.errors import (
     Disconnected,
     EmptyGraph,
@@ -76,17 +77,27 @@ def test_non_ascii_digit_run_orders_by_value():
 def test_neighborhood_open_closed():
     g = from_edge_list([("a", "b"), ("b", "c")])
     assert g.neighborhood("b") == {"a", "c"}
-    assert g.neighborhood("b", closed=True) == {"a", "b", "c"}
+    assert g.neighborhood("a") == {"b"}
     with pytest.raises(UnknownVertex):
         g.neighborhood("zz")
 
 
 def test_neighborhood_closed_is_open_plus_self():
+    # the closed neighbourhoods the independent-set searches run on
     rng = random.Random(1)
     for _ in range(25):
         g = random_graph(rng, 7, 0.4)
-        for v in g.vertices:
-            assert g.neighborhood(v, closed=True) == g.neighborhood(v) | {v}
+        adj, closed = _adjacency_masks(g)
+        for i, v in enumerate(g.vertices):
+            members = {w for j, w in enumerate(g.vertices) if adj[i] >> j & 1}
+            assert members == g.neighborhood(v)
+            assert closed[i] == adj[i] | 1 << i
+
+
+def test_graph_equality():
+    g = Graph(["b", "a"], [("b", "a")])
+    assert g == from_edge_list([("a", "b")]) and hash(g) == hash(Graph(["a", "b"], [("a", "b")]))
+    assert g != Graph(["a", "b"]) and g != g.vertices and g != (g.vertices, g.edges)
 
 
 def test_induced_subgraph():
@@ -110,7 +121,7 @@ def test_induced_monotone():
 
 def test_delete_matches_star_triangle_example():
     g = from_edge_list(STAR7_EDGES)
-    rest = g.delete("1")
+    rest = g.induced_subgraph(v for v in g.vertices if v != "1")
     assert rest.edges == (("2", "3"), ("4", "5"), ("6", "7"))
     assert rest.connected_components() == (("2", "3"), ("4", "5"), ("6", "7"))
 
@@ -125,18 +136,18 @@ def test_connected_components():
 
 def test_bipartition_single_edge():
     g = from_edge_list([("a", "b")])
-    bip = g.bipartition()
+    bip = two_coloring(g, g.vertices)
     assert bip.left == ("a",) and bip.right == ("b",)
 
 
 def test_bipartition_triangle_none():
     tri = from_edge_list([("a", "b"), ("b", "c"), ("a", "c")])
-    assert tri.bipartition() is None
+    assert two_coloring(tri, tri.vertices) is None
 
 
 def test_bipartition_path():
     g = from_edge_list([("v1", "x1"), ("x1", "y1"), ("y1", "x2"), ("x2", "v2")])
-    bip = g.bipartition()
+    bip = two_coloring(g, g.vertices)
     assert set(bip.left) == {"v1", "y1", "v2"}
     assert set(bip.right) == {"x1", "x2"}
 
@@ -144,7 +155,10 @@ def test_bipartition_path():
 def test_bipartition_requires_connected():
     g = from_edge_list([("a", "b"), ("c", "d")])
     with pytest.raises(Disconnected):
-        g.bipartition()
+        two_coloring(g, g.vertices)
+    # the empty graph has no side to start from
+    with pytest.raises(Disconnected, match="empty graph"):
+        two_coloring(Graph([]), ())
 
 
 def test_bipartition_is_proper_coloring():
@@ -153,14 +167,14 @@ def test_bipartition_is_proper_coloring():
         g = random_graph(rng, 7, 0.3)
         if not g.is_connected():
             continue
-        bip = g.bipartition()
+        bip = two_coloring(g, g.vertices)
         if bip is None:
             # None must mean an odd cycle: no 2-coloring at all works
             verts = g.vertices
             for code in range(1 << len(verts)):
                 left = {verts[i] for i in range(len(verts)) if code & (1 << i)}
                 if all((u in left) != (v in left) for u, v in g.edges):
-                    raise AssertionError("bipartition missed a valid 2-coloring")
+                    raise AssertionError("two_coloring missed a valid 2-coloring")
         else:
             left = set(bip.left)
             for u, v in g.edges:

@@ -41,6 +41,7 @@ from cwgraphs.errors import (
     NotCohenMacaulay,
     NotInFamily,
 )
+from cwgraphs.graph import Graph
 from cwgraphs.structure import CWDecomposition
 
 
@@ -107,6 +108,21 @@ def test_witness_covers_are_minimal():
             assert _is_vertex_cover(g, set(cover))
             for v in cover:
                 assert not _is_vertex_cover(g, set(cover) - {v})
+
+
+def test_cover_cardinalities_reject_a_witness_that_is_not_a_minimal_cover(monkeypatch):
+    dec = decompose(from_edge_list(P5_EDGES))  # cover sizes (2, 3, 2)
+    good = cw_witness_covers(dec)
+    g = build_cw(dec)
+    u, v = g.edges[0]
+    uncovered = frozenset(g.vertices) - {u, v}  # misses the edge uv
+    padded = good[0] | {next(w for w in g.vertices if w not in good[0])}
+    assert len(uncovered) == len(padded) == 3
+    for bad in (uncovered, padded):
+        assert not invariants._is_minimal_vertex_cover(g, set(bad))
+        monkeypatch.setattr(invariants, "cw_witness_covers", lambda dec, bad=bad: (good[0], bad, good[2]))
+        with pytest.raises(InvalidDecomposition, match="minimality"):
+            cw_cover_cardinalities(dec)
 
 
 def test_is_cm_cw():
@@ -182,6 +198,19 @@ def test_no_gorenstein():
         assert not is_gorenstein_cw(dec)
         if is_cm_cw(dec):
             assert cm_type_cw(dec) >= 2
+
+
+def test_gorenstein_reads_the_theorem(monkeypatch):
+    # the type is 2^m with m >= 1, so nothing is counted
+    def refuse(*args, **kwargs):
+        raise RuntimeError("derived graph or complex built")
+
+    decs = [decompose(from_edge_list(G5_EDGES)), *cw_corpus()[:40]]
+    assert any(is_cm_cw(dec) and dec.n + 2 * dec.m <= COMPLEX_VERTEX_CAP for dec in decs)
+    monkeypatch.setattr(invariants, "g_prime", refuse)
+    monkeypatch.setattr(invariants, "independence_complex", refuse)
+    for dec in decs:
+        assert is_gorenstein_cw(dec) is False
 
 
 def test_independence_domination():
@@ -387,6 +416,19 @@ def test_full_report_k4():
     payload = json.loads(rep.to_json())
     assert payload["reg"] is None and "reg_reason" in payload
     assert list(payload)[:3] == ["im", "m", "classification"]
+
+
+def test_other_report_pins_reg_where_the_searches_agree():
+    # im <= reg <= m holds for every graph
+    for g, value in ((Graph("abcd", [("a", "b"), ("c", "d")]), 2), (Graph("abq", [("a", "b")]), 1)):
+        rep = full_report(g)
+        assert rep.classification.tag == "Other"
+        assert rep.m == rep.im == rep.reg == value and "reg" not in rep.reasons
+    # both searches past their caps: nothing agrees, reg stays null
+    pairs = [(f"a{i}", f"b{i}") for i in range(97)]
+    rep = full_report(Graph([v for p in pairs for v in p], pairs))
+    assert rep.m is None and rep.im is None and rep.reg is None
+    assert rep.reasons["reg"] == "regularity is only pinned down when im = m"
 
 
 def test_report_to_dict_is_the_json_payload():

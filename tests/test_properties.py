@@ -4,9 +4,9 @@ oracle, the independence
 complex and both vertex-decomposability tests against the brute-force
 independent-set oracle and each other, vertex decomposability against
 the exhaustive shelling search, the complex-level test against its
-link-and-delete definition on general complexes, the theorems
-full_report relies on against the searches, and the report's cover
-size counts against the complex and the oracle."""
+definition on links and deletions, written here, on general complexes,
+the theorems full_report relies on against the searches, and the
+report's cover size counts against the complex and the oracle."""
 
 import itertools
 
@@ -181,10 +181,32 @@ def test_complex_and_vd_tests_agree_with_oracle(g):
     assert vd == is_vertex_decomposable(cx)[0]
 
 
+def link(cx, x):
+    """The link of x: the facets through x, without x."""
+    return SimplicialComplex(f - {x} for f in cx.facets if x in f)
+
+
+def deletion(cx, x):
+    """The deletion of x: the maximal faces without x."""
+    return SimplicialComplex(f - {x} for f in cx.facets)
+
+
+def test_link_and_delete():
+    cx = independence_complex(build_cw(random_cw(1, 1, 1, 1, 0.0, 0)))
+    assert set(link(cx, "x1").facets) == {frozenset({"w1_1+"}), frozenset({"w1_1-"})}
+    # what x1's facets leave, w1_1+ and w1_1-, lies in facets without x1
+    assert set(deletion(cx, "x1").facets) == {f for f in cx.facets if "x1" not in f}
+    simplex = SimplicialComplex([{"a", "b"}])
+    # the link of a simplex vertex is the simplex on the rest; so is its
+    # deletion, and a vertex in no facet changes neither
+    assert link(simplex, "a") == deletion(simplex, "a") == SimplicialComplex([{"b"}])
+    assert deletion(simplex, "q") == simplex
+    assert link(simplex, "q") == SimplicialComplex([])
+
+
 def reference_vertex_decomposable(c):
-    """The complex-level test by its definition, on SimplicialComplex
-    link and delete: shedding vertices tried in label order, first
-    success wins."""
+    """The complex-level test by its definition, on link and deletion:
+    shedding vertices tried in label order, first success wins."""
     memo = {}
 
     def rec(cx):
@@ -194,12 +216,12 @@ def reference_vertex_decomposable(c):
             return True, {"kind": "simplex"}
         if cx.facets not in memo:
             memo[cx.facets] = (False, None)
-            for x in sorted(cx.facet_support(), key=label_key):
-                deleted, link = cx.delete(x), cx.link(x)
-                if any(any(d <= f for f in link.facets) for d in deleted.facets):
+            for x in sorted(cx.vertices, key=label_key):
+                deleted, linked = deletion(cx, x), link(cx, x)
+                if any(any(d <= f for f in linked.facets) for d in deleted.facets):
                     continue
                 ok1, w1 = rec(deleted)
-                ok2, w2 = rec(link) if ok1 else (False, None)
+                ok2, w2 = rec(linked) if ok1 else (False, None)
                 if ok2:
                     memo[cx.facets] = (True, {"kind": "shed", "vertex": x, "deleted": w1, "link": w2})
                     break

@@ -26,7 +26,7 @@ EXPORTS = """
     is_vertex_decomposable_graph label_key matching_number matching_stats
     minimal_vertex_covers oracle_matchings oracle_max_independent_sets
     oracle_shelling_exists parse_edge_list parse_graph_json projective_dimension_cw
-    random_cw regularity_cw sign_vector_less subset_less verify_shelling whisker_partition
+    random_cw regularity_cw verify_shelling whisker_partition
 """.split()
 
 
@@ -65,6 +65,22 @@ def test_lazy_names_and_unknown_names():
         cwgraphs.no_such_name
     with pytest.raises(ImportError):
         exec("from cwgraphs import no_such_name", {})
+
+
+def test_api_that_nothing_reaches_is_gone():
+    # the sort-key comparators and the link/deletion references live in the tests
+    for name in ("sign_vector_less", "subset_less"):
+        with pytest.raises(ImportError):
+            exec(f"from cwgraphs import {name}", {})
+    for name in ("link", "delete", "facet_support", "to_json"):
+        assert not hasattr(cwgraphs.SimplicialComplex, name)
+    with pytest.raises(TypeError):
+        cwgraphs.SimplicialComplex([{"a"}], vertices={"a", "b"})
+    for name in ("bipartition", "delete", "__len__", "__iter__", "__contains__"):
+        assert not hasattr(cwgraphs.Graph, name)
+    g = cwgraphs.Graph(["a", "b"], [("a", "b")])
+    with pytest.raises(TypeError):
+        g.neighborhood("a", closed=True)
 
 
 def test_traced_layers_are_loaded_by_the_cli_import():

@@ -102,6 +102,13 @@ def test_classify_p5():
     assert dec.f_counts == (1, 1) and dec.t_counts == (0,)
 
 
+def test_classification_to_json_is_its_dict():
+    for edges in (G5_EDGES, P5_EDGES, STAR7_EDGES, [("a", "b"), ("c", "d")]):
+        cls = classify(from_edge_list(edges))
+        assert cls.to_json() == json.dumps(cls.to_dict())
+        assert json.loads(cls.to_json()) == cls.to_dict()
+
+
 def test_classify_other():
     c4 = from_edge_list([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     cls = classify(c4)
@@ -293,6 +300,14 @@ def test_attach_cliques():
         CliqueAttachmentSpec(edge, {"a": 2})
 
 
+def test_attach_cliques_renames_on_a_label_clash():
+    # "a@1" is taken by a base vertex, so a's clique vertex becomes "a@1@"
+    base = Graph(["a", "a@1"], [("a", "a@1")])
+    g = attach_cliques(CliqueAttachmentSpec(base, {"a": 2, "a@1": 2}))
+    assert set(g.vertices) == {"a", "a@1", "a@1@", "a@1@1"}
+    assert g.neighborhood("a@1@") == {"a"} and g.neighborhood("a@1@1") == {"a@1"}
+
+
 def test_whisker_partition():
     path = from_edge_list([("a", "b"), ("b", "c")])
     singletons = CliquePartition(path, (frozenset("a"), frozenset("b"), frozenset("c")))
@@ -313,6 +328,13 @@ def test_whisker_partition():
         CliquePartition(path, (frozenset("ac"), frozenset("b")))
     with pytest.raises(NotAPartition):
         CliquePartition(path, (frozenset("ab"),))
+
+
+def test_whisker_partition_renames_on_a_label_clash():
+    base = Graph(["w1", "b"], [("w1", "b")])
+    g = whisker_partition(CliquePartition(base, (frozenset({"w1", "b"}),)))
+    assert g.vertices == ("b", "w1", "w1@")
+    assert g.neighborhood("w1@") == {"w1", "b"}
 
 
 def test_random_cw_forced_cases():

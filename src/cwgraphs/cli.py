@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 input or usage error, 2 size/budget guard,
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -134,9 +135,10 @@ def cmd_oracle(args) -> int:
     budget = oracle.OracleBudget()
     mismatches = []
 
+    # the oracle's edge budget refuses before the fast searches run
+    om, oim = oracle.oracle_matchings(g, budget)
     m, _ = matching_number(g)
     im, _ = induced_matching_number(g)
-    om, oim = oracle.oracle_matchings(g, budget)
     if (m, im) != (om, oim):
         mismatches.append(f"matchings: fast ({m}, {im}) vs oracle ({om}, {oim})")
 
@@ -279,6 +281,21 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    """Run one command; a closed stdout is an error (exit 1), not a
+    traceback.  stdout is flushed here so that a broken pipe surfaces
+    inside this call, then pointed at the null device so that the flush
+    at exit stays quiet (the recipe of the ``signal`` docs)."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_INPUT
+    return code
+
+
+def _run(argv) -> int:
     try:
         handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Usage as exc:

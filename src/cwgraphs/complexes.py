@@ -2,7 +2,10 @@
 
 Complexes are stored as facet lists.  The maximal independent sets of a
 graph are the facets of its independence complex, i.e. the maximal
-cliques of the complement.
+cliques of the complement.  ``independence_complex`` and
+``is_vertex_decomposable_graph`` take the report's cap, which a caller
+may raise, so they also check ``RECURSION_VERTEX_CEILING``; the
+complex-level test has the fixed cap ``COMPLEX_VERTEX_CAP``.
 """
 
 from __future__ import annotations
@@ -12,15 +15,11 @@ from .graph import Graph, label_key, sorted_labels
 from .structure import CWDecomposition
 
 COMPLEX_VERTEX_CAP = 26
-SHELLING_FACET_CAP = 4096
-# The Bron-Kerbosch enumeration and both vertex-decomposability tests
-# recurse about once per vertex, so above this many vertices they raise
-# SizeGuard whatever their cap says.  At 512 vertices they use about 525
-# frames, leaving a caller over 450 of CPython's default limit of 1000.
+# Bron-Kerbosch and the graph-level VD test recurse about once per vertex,
+# so above this many vertices they raise SizeGuard whatever their cap says.
+# At 512 vertices they use about 525 frames, leaving a caller over 450 of
+# CPython's default limit of 1000.
 RECURSION_VERTEX_CEILING = 512
-
-PLUS = "+"
-MINUS = "-"
 
 
 def _facet_key(f: frozenset[str]):
@@ -155,7 +154,7 @@ def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialC
 # -- vertex decomposability -----------------------------------------------
 
 
-def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
+def is_vertex_decomposable(c: SimplicialComplex):
     """Exact recursive test; returns (flag, witness tree of shed vertices).
 
     A vertex x sheds when no face of the link is a facet of the deletion.
@@ -166,9 +165,8 @@ def is_vertex_decomposable(c: SimplicialComplex, cap: int = COMPLEX_VERTEX_CAP):
     masks in ascending order.
     """
     support = c.vertices
-    if len(support) > cap:
-        raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
-    _check_ceiling("vertex-decomposability", len(support))
+    if len(support) > COMPLEX_VERTEX_CAP:
+        raise SizeGuard(f"vertex-decomposability cap is {COMPLEX_VERTEX_CAP} vertices")
     order = sorted_labels(support)
     bit = {v: 1 << i for i, v in enumerate(order)}
     memo: dict[tuple[int, ...], tuple] = {}
@@ -324,7 +322,7 @@ def verify_shelling(c: SimplicialComplex, order) -> tuple[bool, int | None]:
     return True, None
 
 
-def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP):
+def cw_shelling(dec: CWDecomposition):
     """Stand-in for ``shelling.cw_shelling``, imported on first call.
 
     The benchmark's tracer wraps this name in this module, so it stays
@@ -332,4 +330,4 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP):
     """
     from .shelling import cw_shelling as impl
 
-    return impl(dec, cap)
+    return impl(dec)

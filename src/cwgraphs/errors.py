@@ -34,7 +34,9 @@ class NotAnEdge(CWGraphError):
 
 
 class SizeGuard(CWGraphError):
-    """Input exceeds an enumeration cap; caps are configuration, not semantics."""
+    """Input exceeds a search's size limit: its fixed cap, the report's
+    ``cap`` (``--max-vertices``) or the recursion ceiling.  A limit bounds
+    work; it never changes a value that is computed."""
 
 
 class NotCameronWalker(CWGraphError):

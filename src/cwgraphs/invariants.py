@@ -13,6 +13,7 @@ import json
 
 from .complexes import (
     COMPLEX_VERTEX_CAP,
+    RECURSION_VERTEX_CEILING,
     independence_complex,
     is_vertex_decomposable_graph,
 )
@@ -42,18 +43,18 @@ from .structure import (
 _IM_EQUALS_M = (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER)
 
 
-def minimal_vertex_covers(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
+def minimal_vertex_covers(g: Graph):
     """All minimal vertex covers: complements of the independence facets."""
-    cx = independence_complex(g, cap=cap)
+    cx = independence_complex(g)
     rank = {v: i for i, v in enumerate(g.vertices)}
     covers = [tuple(v for v in g.vertices if v not in f) for f in cx.facets]
     return tuple(sorted(covers, key=lambda c: [rank[v] for v in c]))
 
 
-def is_unmixed(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> bool:
+def is_unmixed(g: Graph) -> bool:
     """True iff all minimal vertex covers share one cardinality, i.e. the
     independence complex is pure."""
-    return independence_complex(g, cap=cap).is_pure()
+    return independence_complex(g).is_pure()
 
 
 def _is_vertex_cover(g: Graph, cover: set) -> bool:
@@ -132,17 +133,23 @@ def g_prime(dec: CWDecomposition) -> Graph:
     )
 
 
+def _counts_g_prime(dec: CWDecomposition, cap: int) -> bool:
+    """Whether the n + 2m vertices of G' fit both the cap and the
+    recursion ceiling, so that its complex can be enumerated."""
+    return dec.n + 2 * dec.m <= min(cap, RECURSION_VERTEX_CEILING)
+
+
 def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
     """Cohen-Macaulay type 2^m, certified by counting the maximal
     independent sets of the derived subgraph.
 
-    The count runs when the derived graph fits the cap; beyond it the
-    bare formula is returned.
+    The count runs when the derived graph fits the cap and the recursion
+    ceiling; beyond them the bare formula is returned.
     """
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("Cohen-Macaulay type needs a Cohen-Macaulay graph")
     value = 2**dec.m
-    if dec.n + 2 * dec.m <= cap:
+    if _counts_g_prime(dec, cap):
         count = len(independence_complex(g_prime(dec), cap=cap).facets)
         if count != value:
             raise InvalidDecomposition(
@@ -159,21 +166,21 @@ def is_gorenstein_cw(dec: CWDecomposition) -> bool:
     return False
 
 
-def independence_domination_number(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
+def independence_domination_number(g: Graph):
     """Minimum size of an independent set whose closed neighbourhood covers
     the graph; equals the minimum facet size of the independence complex.
     Returns (value, canonical witness)."""
     # facets come in canonical order, so the first of least size wins
-    best = min(independence_complex(g, cap=cap).facets, key=len)
+    best = min(independence_complex(g).facets, key=len)
     return len(best), sorted_labels(best)
 
 
-def projective_dimension_cw(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> int:
+def projective_dimension_cw(g: Graph) -> int:
     """|V| minus the independence domination number, for Cameron-Walker graphs."""
     cls = classify(g)
     if cls.tag != TAG_CAMERON_WALKER:
         raise NotCameronWalker(f"projective dimension formula needs a Cameron-Walker graph, got {cls.tag}")
-    i_g, _ = independence_domination_number(g, cap=cap)
+    i_g, _ = independence_domination_number(g)
     return g.vertex_count - i_g
 
 
@@ -370,17 +377,20 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
             rep.sequentially_cm = True
         else:
             rep.reasons["sequentially_cm"] = "no vertex-decomposability certificate"
-        # im <= reg <= m holds for every graph
+        # im <= reg <= m holds for every graph; a search past its cap
+        # keeps reg open for that search's reason, m's first
         if rep.m is not None and rep.m == rep.im:
             rep.reg = rep.im
         else:
-            rep.reasons["reg"] = "regularity is only pinned down when im = m"
+            rep.reasons["reg"] = rep.reasons.get(
+                "m", rep.reasons.get("im", "regularity is only pinned down when im = m")
+            )
 
     if dec is not None:
         rep.cm = rep.unmixed
         if rep.cm:
             rep.cm_type = cm_type_cw(dec, cap=cap)
-            if dec.n + 2 * dec.m > cap:
+            if not _counts_g_prime(dec, cap):
                 rep.reasons["cm_type"] = "formula only; derived graph exceeds the cap"
             rep.gorenstein = rep.cm_type == 1
         else:

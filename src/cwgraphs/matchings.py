@@ -3,12 +3,15 @@
 Both come from one memoized search over edge masks that differs only
 in which edges conflict; the returned witnesses are the
 lexicographically smallest optimal edge sets in canonical edge order,
-so outputs are reproducible.
+so outputs are reproducible.  The search refuses a graph past its fixed
+cap, ``MATCHING_VERTEX_CAP`` vertices for m or ``INDUCED_EDGE_CAP``
+edges for im.  It recurses once per vertex that has an edge, so these
+caps keep it far under ``complexes.RECURSION_VERTEX_CEILING``.
 """
 
 from __future__ import annotations
 
-from .complexes import _bits, _check_ceiling
+from .complexes import _bits
 from .errors import LengthMismatch, NotAnEdge, SizeGuard
 from .graph import Graph, canonical_edge
 from .records import FrozenRecord, set_field
@@ -83,7 +86,6 @@ def _max_edge_set(g: Graph, induced: bool) -> tuple[int, tuple[Edge, ...]]:
     for e, (u, v) in enumerate(edges):
         at[rank[u]] |= 1 << e
         at[rank[v]] |= 1 << e
-    _check_ceiling("induced-matching" if induced else "matching", sum(1 for a in at if a))
     near = at
     if induced:
         # the edges meeting N[w] rather than w
@@ -125,17 +127,17 @@ def _max_edge_set(g: Graph, induced: bool) -> tuple[int, tuple[Edge, ...]]:
     return size, tuple(witness)
 
 
-def matching_number(g: Graph, cap: int = MATCHING_VERTEX_CAP) -> tuple[int, tuple[Edge, ...]]:
+def matching_number(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Exact maximum matching size plus the canonical witness."""
-    if g.vertex_count > cap:
-        raise SizeGuard(f"matching cap is {cap} vertices, graph has {g.vertex_count}")
+    if g.vertex_count > MATCHING_VERTEX_CAP:
+        raise SizeGuard(f"matching cap is {MATCHING_VERTEX_CAP} vertices, graph has {g.vertex_count}")
     return _max_edge_set(g, induced=False)
 
 
-def induced_matching_number(g: Graph, cap: int = INDUCED_EDGE_CAP) -> tuple[int, tuple[Edge, ...]]:
+def induced_matching_number(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Exact maximum induced matching size plus the canonical witness."""
-    if g.edge_count > cap:
-        raise SizeGuard(f"induced-matching cap is {cap} edges, graph has {g.edge_count}")
+    if g.edge_count > INDUCED_EDGE_CAP:
+        raise SizeGuard(f"induced-matching cap is {INDUCED_EDGE_CAP} edges, graph has {g.edge_count}")
     return _max_edge_set(g, induced=True)
 
 

@@ -3,7 +3,9 @@ bipartite support.
 
 Only ``cwgraphs shelling`` and library callers use this module, so the
 command line's start-up path does not import it.  ``verify_shelling``,
-the checker, stays in ``complexes``.
+the checker, stays in ``complexes``.  A shelling of more than
+``SHELLING_FACET_CAP`` facets is refused before any facet is built;
+``PLUS`` and ``MINUS`` are the entries of its sign vectors.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ import functools
 import itertools
 import json
 
-from .complexes import MINUS, PLUS, SHELLING_FACET_CAP
 from .errors import LengthMismatch, NotCompleteBipartiteSupport, SizeGuard
 from .graph import label_key
 from .records import FrozenRecord, set_field
 from .structure import CWDecomposition
+
+SHELLING_FACET_CAP = 4096
+PLUS = "+"
+MINUS = "-"
 
 
 def _sign_vector_key(v) -> tuple:
@@ -69,7 +74,7 @@ class ShellingOrder(FrozenRecord):
         )
 
 
-def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> ShellingOrder:
+def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     """Explicit shelling order for a decomposition over complete bipartite
     support.
 
@@ -90,8 +95,8 @@ def cw_shelling(dec: CWDecomposition, cap: int = SHELLING_FACET_CAP) -> Shelling
         2 ** sum(t_counts[i - 1] for i in range(1, m_prime + 1) if i not in set(idx))
         for idx in _all_subsets(m_prime)
     ) + (2**n - 1) * 2**t_total
-    if total > cap:
-        raise SizeGuard(f"shelling would have {total} facets, cap is {cap}")
+    if total > SHELLING_FACET_CAP:
+        raise SizeGuard(f"shelling would have {total} facets, cap is {SHELLING_FACET_CAP}")
 
     all_leaves = [z for x in dec.left for z in dec.leaf_map[x]]
     bare_right = [dec.right[j] for j in range(m_prime, m)]

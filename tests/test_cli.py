@@ -415,6 +415,55 @@ def test_analyze_past_the_recursion_ceiling_is_a_size_guard(tmp_path):
     assert "recursion ceiling" in payload["vertex_decomposable_reason"]
 
 
+def test_raised_max_vertices_keeps_the_report_past_the_recursion_ceiling(tmp_path, capsys):
+    # G' has 1 + 2 * 300 = 601 vertices: within --max-vertices 5000 but past
+    # the recursion ceiling, so cm_type is the formula and the report partial
+    out_base = tmp_path / "cm300"
+    code, _, _ = run(
+        capsys, "generate", "--n", "1", "--m", "300", "--max-f", "1", "--max-t", "1",
+        "--seed", "0", "--out", str(out_base),
+    )
+    assert code == 0
+    code, out, err = run(capsys, "analyze", f"{out_base}.edges", "--max-vertices", "5000")
+    assert code == 2 and err == ""
+    payload = json.loads(out)
+    assert payload["partial"] is True and payload["cm"] is True
+    assert payload["cm_type"] == 2**300
+    assert payload["cm_type_reason"] == "formula only; derived graph exceeds the cap"
+
+
+def test_oracle_refuses_past_its_edge_budget_before_searching(tmp_path, capsys, monkeypatch):
+    from cwgraphs import cli
+
+    def no_search(g):
+        raise AssertionError("matching search before the oracle's edge budget")
+
+    monkeypatch.setattr(cli, "matching_number", no_search)
+    monkeypatch.setattr(cli, "induced_matching_number", no_search)
+    path = tmp_path / "p22.edges"
+    path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(21)))
+    code, out, err = run(capsys, "oracle", str(path))
+    assert code == 2
+    assert out == "" and err == "size guard: oracle edge budget is 20, graph has 21\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze", str(DATA / "g5.edges")], ["--help"]])
+def test_closed_stdout_is_an_error_not_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cwgraphs.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
+    assert proc.stderr == b"error: standard output is closed\n"
+
+
 def test_shelling_text_index_sets_are_in_order(tmp_path, capsys):
     # G{1, 8}, not the set repr G{8, 1}: each text line's index set is
     # the I or J list of the JSON provenance

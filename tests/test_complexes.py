@@ -16,15 +16,17 @@ from cwgraphs import (
     decompose,
     from_edge_list,
     independence_complex,
+    induced_matching_number,
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
+    matching_number,
     oracle_shelling_exists,
     parse_edge_list,
     random_cw,
     verify_shelling,
 )
 from cwgraphs import shelling
-from cwgraphs.complexes import MINUS, PLUS, RECURSION_VERTEX_CEILING
+from cwgraphs.complexes import COMPLEX_VERTEX_CAP, RECURSION_VERTEX_CEILING
 from cwgraphs.errors import (
     LengthMismatch,
     NotAPermutation,
@@ -32,6 +34,8 @@ from cwgraphs.errors import (
     SizeGuard,
 )
 from cwgraphs.graph import Graph
+from cwgraphs.matchings import INDUCED_EDGE_CAP, MATCHING_VERTEX_CAP
+from cwgraphs.shelling import MINUS, PLUS
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,12 +106,23 @@ def test_graph_vd_recursions_at_the_ceiling():
         is_vertex_decomposable_graph(Graph(NAMES, []), cap=10**6)
 
 
-def test_complex_vd_recursion_at_the_ceiling():
-    # n singleton facets: each level sheds one vertex into the deletion
-    points = SimplicialComplex([[v] for v in NAMES[:CEILING]])
-    assert is_vertex_decomposable(points, cap=10**6)[0]
-    with pytest.raises(SizeGuard, match="recursion ceiling"):
-        is_vertex_decomposable(SimplicialComplex([[v] for v in NAMES]), cap=10**6)
+def test_fixed_caps_keep_their_recursion_under_the_ceiling():
+    # The matching search recurses once per vertex that has an edge: at
+    # most MATCHING_VERTEX_CAP levels for m, and two per edge for im.  The
+    # complex-level VD test sheds one support vertex per level.  None of
+    # the three can be given a larger cap, so none checks the ceiling.
+    assert MATCHING_VERTEX_CAP <= CEILING
+    assert 2 * INDUCED_EDGE_CAP <= CEILING
+    assert COMPLEX_VERTEX_CAP <= CEILING
+    # the deepest input each search accepts finishes
+    path = Graph(NAMES[:MATCHING_VERTEX_CAP], zip(NAMES, NAMES[1:MATCHING_VERTEX_CAP]))
+    assert matching_number(path)[0] == MATCHING_VERTEX_CAP // 2
+    pairs = [(f"a{i}", f"b{i}") for i in range(INDUCED_EDGE_CAP)]
+    spread = Graph([v for p in pairs for v in p], pairs)
+    assert induced_matching_number(spread)[0] == INDUCED_EDGE_CAP
+    # singleton facets: each level sheds one vertex into the deletion
+    points = SimplicialComplex([[v] for v in NAMES[:COMPLEX_VERTEX_CAP]])
+    assert is_vertex_decomposable(points)[0]
 
 
 def test_purity():

@@ -258,7 +258,7 @@ def test_regularity():
     ids=["k1", "star", "star-triangle", "cw"],
 )
 def test_im_equals_m_family_matchings_come_from_the_recognition(monkeypatch, g, value):
-    def no_search(g, cap=None):
+    def no_search(g):
         raise AssertionError("exponential matching search on an im = m graph")
 
     monkeypatch.setattr(invariants, "matching_number", no_search)
@@ -287,7 +287,7 @@ def test_full_report_on_a_star_past_the_matching_cap():
 
 
 def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
-    def no_search(g, cap=None):
+    def no_search(g):
         raise AssertionError("exponential matching search on a Cameron-Walker graph")
 
     monkeypatch.setattr(invariants, "matching_number", no_search)
@@ -424,11 +424,32 @@ def test_other_report_pins_reg_where_the_searches_agree():
         rep = full_report(g)
         assert rep.classification.tag == "Other"
         assert rep.m == rep.im == rep.reg == value and "reg" not in rep.reasons
-    # both searches past their caps: nothing agrees, reg stays null
+    # both searches ran and im < m: reg stays null
+    rep = full_report(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]))
+    assert (rep.m, rep.im, rep.reg) == (2, 1, None)
+    assert rep.reasons["reg"] == "regularity is only pinned down when im = m"
+    # both searches past their caps: reg gives m's reason
     pairs = [(f"a{i}", f"b{i}") for i in range(97)]
     rep = full_report(Graph([v for p in pairs for v in p], pairs))
     assert rep.m is None and rep.im is None and rep.reg is None
-    assert rep.reasons["reg"] == "regularity is only pinned down when im = m"
+    assert rep.reasons["reg"] == rep.reasons["m"] == "matching cap is 64 vertices, graph has 194"
+    # K_{2,49}: 51 vertices, m = 2, and 98 edges past the im cap
+    k249 = from_edge_list([(h, f"v{i}") for h in "ab" for i in range(49)])
+    rep = full_report(k249)
+    assert rep.m == 2 and rep.im is None and rep.reg is None
+    assert rep.reasons["reg"] == rep.reasons["im"] == "induced-matching cap is 96 edges, graph has 98"
+
+
+def test_cm_type_past_the_recursion_ceiling_is_formula_only():
+    # G' has n + 2m = 601 vertices: within a cap of 5000 but past the
+    # recursion ceiling, so the type is the formula, not a SizeGuard
+    dec = random_cw(1, 300, 1, 1, 0.0, 0)
+    g = build_cw(dec)
+    assert (g.vertex_count, dec.n + 2 * dec.m) == (902, 601)
+    assert cm_type_cw(dec, cap=5000) == 2**300
+    rep = full_report(g, cap=5000)
+    assert rep.partial and rep.cm is True and rep.cm_type == 2**300
+    assert rep.reasons["cm_type"] == "formula only; derived graph exceeds the cap"
 
 
 def test_report_to_dict_is_the_json_payload():

@@ -24,7 +24,6 @@ from cwgraphs import (
     oracle_matchings,
 )
 from cwgraphs import matchings
-from cwgraphs.complexes import RECURSION_VERTEX_CEILING
 from cwgraphs.errors import LengthMismatch, NotAnEdge, SizeGuard
 
 
@@ -170,23 +169,6 @@ def test_size_guards():
     wide = complete_bipartite(10, 10)
     with pytest.raises(SizeGuard):
         induced_matching_number(wide)
-
-
-def test_searches_at_the_recursion_ceiling():
-    # on a path each search recurses once per vertex; with no cap in the
-    # way, a graph above the ceiling is refused before it can recurse
-    names = [f"p{i}" for i in range(1500)]
-    path = Graph(names[:RECURSION_VERTEX_CEILING], zip(names, names[1:RECURSION_VERTEX_CEILING]))
-    assert matching_number(path, cap=10**6)[0] == RECURSION_VERTEX_CEILING // 2
-    assert induced_matching_number(path, cap=10**6)[0] == (RECURSION_VERTEX_CEILING + 1) // 3
-    long_path = Graph(names, zip(names, names[1:]))
-    for search in (matching_number, induced_matching_number):
-        with pytest.raises(SizeGuard, match="recursion ceiling"):
-            search(long_path, cap=10**6)
-    # isolated vertices add no level, so they do not count
-    sparse = Graph(names, [("p0", "p1")])
-    assert matching_number(sparse, cap=10**6)[0] == 1
-    assert induced_matching_number(sparse)[0] == 1
 
 
 def test_matching_number_agrees_with_networkx():

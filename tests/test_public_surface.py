@@ -1,8 +1,11 @@
 """The names the package exports and the layers the benchmark traces."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +110,37 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_size_limits_are_constants_except_where_max_vertices_reaches():
+    # Only what `analyze --max-vertices` reaches takes a cap; every other
+    # search reads its module constant, which keeps it under the recursion
+    # ceiling, so only the two searches a cap can push past it check it.
+    capped = set()
+    for info in pkgutil.iter_modules(cwgraphs.__path__):
+        module = importlib.import_module(f"cwgraphs.{info.name}")
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
+                if "cap" in inspect.signature(fn).parameters:
+                    capped.add(f"{info.name}.{name}")
+    assert capped == {
+        "complexes.independence_complex",
+        "complexes.is_vertex_decomposable_graph",
+        "invariants.cm_type_cw",
+        "invariants.full_report",
+    }
+    ceiling_checks, defined = set(), {}
+    for path in sorted((ROOT / "src" / "cwgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_ceiling"
+                for call in ast.walk(node)
+            ):
+                ceiling_checks.add(node.name)
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    defined.setdefault(getattr(target, "id", None), []).append(path.name)
+    assert ceiling_checks == {"independence_complex", "is_vertex_decomposable_graph"}
+    for name in ("PLUS", "MINUS", "SHELLING_FACET_CAP"):
+        assert defined[name] == ["shelling.py"], name

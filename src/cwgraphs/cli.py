@@ -73,10 +73,8 @@ def _emit(payload: dict, output: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    if args.max_vertices < 0:
-        raise InvalidParams(f"--max-vertices must be at least 0, got {args.max_vertices}")
     g = _read_graph(args.path, args.format)
-    report = invariants.full_report(g, cap=args.max_vertices)
+    report = invariants.full_report(g)
     _emit(report.to_dict(), args.output)
     return EXIT_BUDGET if report.partial else EXIT_OK
 
@@ -135,15 +133,16 @@ def cmd_oracle(args) -> int:
     budget = oracle.OracleBudget()
     mismatches = []
 
-    # the oracle's edge budget refuses before the fast searches run
+    # the oracle's edge and vertex budgets refuse before the fast searches run
     om, oim = oracle.oracle_matchings(g, budget)
+    oracle_sets = oracle.oracle_max_independent_sets(g, budget)
     m, _ = matching_number(g)
     im, _ = induced_matching_number(g)
     if (m, im) != (om, oim):
         mismatches.append(f"matchings: fast ({m}, {im}) vs oracle ({om}, {oim})")
 
-    cx = complexes.independence_complex(g, cap=budget.max_vertices)
-    if set(cx.facets) != {frozenset(f) for f in oracle.oracle_max_independent_sets(g, budget)}:
+    cx = complexes.independence_complex(g)
+    if set(cx.facets) != {frozenset(f) for f in oracle_sets}:
         # the minimal vertex covers are the facets' complements
         mismatches += ["maximal independent sets differ", "minimal vertex covers differ"]
 
@@ -179,7 +178,7 @@ _IO_OPTIONS = {
 # converts the value or a tuple of the allowed values; a default of None
 # marks a required option.  The key "path" is the positional argument.
 COMMANDS = {
-    "analyze": (cmd_analyze, {**_IO_OPTIONS, "--max-vertices": (int, complexes.COMPLEX_VERTEX_CAP)}),
+    "analyze": (cmd_analyze, _IO_OPTIONS),
     "classify": (cmd_classify, _IO_OPTIONS),
     "shelling": (cmd_shelling, _IO_OPTIONS),
     "oracle": (cmd_oracle, _IO_OPTIONS),

@@ -2,10 +2,10 @@
 
 Complexes are stored as facet lists.  The maximal independent sets of a
 graph are the facets of its independence complex, i.e. the maximal
-cliques of the complement.  ``independence_complex`` and
-``is_vertex_decomposable_graph`` take the report's cap, which a caller
-may raise, so they also check ``RECURSION_VERTEX_CEILING``; the
-complex-level test has the fixed cap ``COMPLEX_VERTEX_CAP``.
+cliques of the complement.  The enumeration and both
+vertex-decomposability tests refuse more than ``COMPLEX_VERTEX_CAP``
+vertices; each recurses about once per vertex, so this fixed cap also
+keeps them far under CPython's recursion limit.
 """
 
 from __future__ import annotations
@@ -15,11 +15,6 @@ from .graph import Graph, label_key, sorted_labels
 from .structure import CWDecomposition
 
 COMPLEX_VERTEX_CAP = 26
-# Bron-Kerbosch and the graph-level VD test recurse about once per vertex,
-# so above this many vertices they raise SizeGuard whatever their cap says.
-# At 512 vertices they use about 525 frames, leaving a caller over 450 of
-# CPython's default limit of 1000.
-RECURSION_VERTEX_CEILING = 512
 
 
 def _facet_key(f: frozenset[str]):
@@ -71,13 +66,6 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) <= 1
-
-
-def _check_ceiling(what: str, count: int) -> None:
-    if count > RECURSION_VERTEX_CEILING:
-        raise SizeGuard(
-            f"{what} recursion ceiling is {RECURSION_VERTEX_CEILING} vertices, got {count}"
-        )
 
 
 def _bits(mask: int):
@@ -135,11 +123,12 @@ def _maximal_independent_sets(
     return False
 
 
-def independence_complex(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> SimplicialComplex:
+def independence_complex(g: Graph) -> SimplicialComplex:
     """The complex whose facets are the maximal independent sets of g."""
-    if g.vertex_count > cap:
-        raise SizeGuard(f"independence-complex cap is {cap} vertices, graph has {g.vertex_count}")
-    _check_ceiling("independence-complex", g.vertex_count)
+    if g.vertex_count > COMPLEX_VERTEX_CAP:
+        raise SizeGuard(
+            f"independence-complex cap is {COMPLEX_VERTEX_CAP} vertices, graph has {g.vertex_count}"
+        )
     order = g.vertices
     adj, closed = _adjacency_masks(g)
     sets: list[int] = []
@@ -166,7 +155,9 @@ def is_vertex_decomposable(c: SimplicialComplex):
     """
     support = c.vertices
     if len(support) > COMPLEX_VERTEX_CAP:
-        raise SizeGuard(f"vertex-decomposability cap is {COMPLEX_VERTEX_CAP} vertices")
+        raise SizeGuard(
+            f"vertex-decomposability cap is {COMPLEX_VERTEX_CAP} vertices, complex has {len(support)}"
+        )
     order = sorted_labels(support)
     bit = {v: 1 << i for i, v in enumerate(order)}
     memo: dict[tuple[int, ...], tuple] = {}
@@ -205,7 +196,7 @@ def is_vertex_decomposable(c: SimplicialComplex):
     return rec(tuple(sorted(sum(bit[v] for v in f) for f in c.facets)))
 
 
-def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
+def is_vertex_decomposable_graph(g: Graph):
     """Graph-level recursion: G is vertex decomposable iff it is edgeless
     or some vertex v has G-v and G-N[v] vertex decomposable with no
     independent set of G-N[v] maximal in G-v.
@@ -215,9 +206,10 @@ def is_vertex_decomposable_graph(g: Graph, cap: int = COMPLEX_VERTEX_CAP):
     so components listed by lowest bit and candidates tried in ascending
     bit order follow the canonical vertex order.
     """
-    if g.vertex_count > cap:
-        raise SizeGuard(f"vertex-decomposability cap is {cap} vertices")
-    _check_ceiling("vertex-decomposability", g.vertex_count)
+    if g.vertex_count > COMPLEX_VERTEX_CAP:
+        raise SizeGuard(
+            f"vertex-decomposability cap is {COMPLEX_VERTEX_CAP} vertices, graph has {g.vertex_count}"
+        )
     order = g.vertices
     adj, closed = _adjacency_masks(g)
     memo: dict[int, tuple] = {}

@@ -34,9 +34,8 @@ class NotAnEdge(CWGraphError):
 
 
 class SizeGuard(CWGraphError):
-    """Input exceeds a search's size limit: its fixed cap, the report's
-    ``cap`` (``--max-vertices``) or the recursion ceiling.  A limit bounds
-    work; it never changes a value that is computed."""
+    """Input exceeds the fixed size cap of a search.  A cap bounds work;
+    it never changes a value that is computed."""
 
 
 class NotCameronWalker(CWGraphError):

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .complexes import (
-    COMPLEX_VERTEX_CAP,
-    RECURSION_VERTEX_CEILING,
-    independence_complex,
-    is_vertex_decomposable_graph,
-)
+from .complexes import COMPLEX_VERTEX_CAP, independence_complex, is_vertex_decomposable_graph
 from .errors import (
     InvalidDecomposition,
     NotCameronWalker,
@@ -133,24 +128,24 @@ def g_prime(dec: CWDecomposition) -> Graph:
     )
 
 
-def _counts_g_prime(dec: CWDecomposition, cap: int) -> bool:
-    """Whether the n + 2m vertices of G' fit both the cap and the
-    recursion ceiling, so that its complex can be enumerated."""
-    return dec.n + 2 * dec.m <= min(cap, RECURSION_VERTEX_CEILING)
+def _counts_g_prime(dec: CWDecomposition) -> bool:
+    """Whether the n + 2m vertices of G' fit the complex cap, so that its
+    complex can be enumerated."""
+    return dec.n + 2 * dec.m <= COMPLEX_VERTEX_CAP
 
 
-def cm_type_cw(dec: CWDecomposition, cap: int = COMPLEX_VERTEX_CAP) -> int:
+def cm_type_cw(dec: CWDecomposition) -> int:
     """Cohen-Macaulay type 2^m, certified by counting the maximal
     independent sets of the derived subgraph.
 
-    The count runs when the derived graph fits the cap and the recursion
-    ceiling; beyond them the bare formula is returned.
+    The count runs when the derived graph fits the complex cap; beyond it
+    the bare formula is returned.
     """
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("Cohen-Macaulay type needs a Cohen-Macaulay graph")
     value = 2**dec.m
-    if _counts_g_prime(dec, cap):
-        count = len(independence_complex(g_prime(dec), cap=cap).facets)
+    if _counts_g_prime(dec):
+        count = len(independence_complex(g_prime(dec)).facets)
         if count != value:
             raise InvalidDecomposition(
                 f"derived graph has {count} maximal independent sets, 2^m = {value}"
@@ -309,7 +304,7 @@ class InvariantReport(Record):
         return json.dumps(self.to_dict())
 
 
-def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
+def full_report(g: Graph) -> InvariantReport:
     """Aggregate every invariant; size-guarded fields degrade to None.
 
     Each artifact is computed once.  On the im = m family (Cameron-Walker,
@@ -338,7 +333,7 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     dec = cls.decomposition
 
     try:
-        facets = independence_complex(g, cap=cap).facets
+        facets = independence_complex(g).facets
     except SizeGuard as exc:
         for name in ("unmixed", "cover_cardinalities", "i_g"):
             rep.reasons[name] = str(exc)
@@ -372,7 +367,7 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     else:
         guarded("m", lambda: matching_number(g)[0])
         guarded("im", lambda: induced_matching_number(g)[0])
-        guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g, cap=cap)[0])
+        guarded("vertex_decomposable", lambda: is_vertex_decomposable_graph(g)[0])
         if rep.vertex_decomposable:
             rep.sequentially_cm = True
         else:
@@ -389,8 +384,8 @@ def full_report(g: Graph, cap: int = COMPLEX_VERTEX_CAP) -> InvariantReport:
     if dec is not None:
         rep.cm = rep.unmixed
         if rep.cm:
-            rep.cm_type = cm_type_cw(dec, cap=cap)
-            if not _counts_g_prime(dec, cap):
+            rep.cm_type = cm_type_cw(dec)
+            if not _counts_g_prime(dec):
                 rep.reasons["cm_type"] = "formula only; derived graph exceeds the cap"
             rep.gorenstein = rep.cm_type == 1
         else:

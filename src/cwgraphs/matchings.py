@@ -6,7 +6,8 @@ lexicographically smallest optimal edge sets in canonical edge order,
 so outputs are reproducible.  The search refuses a graph past its fixed
 cap, ``MATCHING_VERTEX_CAP`` vertices for m or ``INDUCED_EDGE_CAP``
 edges for im.  It recurses once per vertex that has an edge, so these
-caps keep it far under ``complexes.RECURSION_VERTEX_CEILING``.
+caps keep it at most 64 or 192 levels deep, far under CPython's
+recursion limit.
 """
 
 from __future__ import annotations

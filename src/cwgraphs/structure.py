@@ -189,8 +189,12 @@ class Classification(FrozenRecord):
 
 
 def _is_star(g: Graph) -> bool:
-    # K_{1,k} for k >= 0: every edge through one common vertex.
-    return any(all(c in e for e in g.edges) for c in g.vertices)
+    # K_{1,k} for k >= 0 on a connected graph: at most two vertices, or a
+    # tree with a vertex adjacent to all the others.
+    nv = g.vertex_count
+    return nv <= 2 or (
+        g.edge_count == nv - 1 and any(g.degree(v) == nv - 1 for v in g.vertices)
+    )
 
 
 def _is_star_triangle(g: Graph) -> bool:

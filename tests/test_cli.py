@@ -126,9 +126,9 @@ def test_oracle_command_enumerates_the_complex_once(capsys, monkeypatch):
     built = []
     original = complexes.independence_complex
 
-    def counting(g, cap):
+    def counting(g):
         built.append(g.vertex_count)
-        return original(g, cap=cap)
+        return original(g)
 
     for module in (complexes, invariants):
         monkeypatch.setattr(module, "independence_complex", counting)
@@ -170,7 +170,7 @@ def test_other_package_errors_exit_1(capsys, monkeypatch):
     from cwgraphs import invariants
     from cwgraphs.errors import InvalidDecomposition
 
-    def fail(g, cap):
+    def fail(g):
         raise InvalidDecomposition("witness cover failed its minimality check")
 
     monkeypatch.setattr(invariants, "full_report", fail)
@@ -234,29 +234,35 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys, text):
     assert out == "" and err.startswith("input error:")
 
 
-def test_negative_max_vertices_is_an_input_error(capsys):
-    code, out, err = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "-1")
-    assert code == 1
-    assert out == "" and "--max-vertices" in err
+def cm_past_the_cap(tmp_path, capsys) -> str:
+    """A generated Cohen-Macaulay Cameron-Walker graph on 41 vertices:
+    one leaf and 13 triangles, so G' has 1 + 2 * 13 = 27 vertices."""
+    out_base = tmp_path / "cm13"
+    code, _, _ = run(
+        capsys, "generate", "--n", "1", "--m", "13", "--max-f", "1", "--max-t", "1",
+        "--seed", "0", "--out", str(out_base),
+    )
+    assert code == 0
+    return f"{out_base}.edges"
 
 
-def test_analyze_notes_a_formula_only_cm_type(capsys):
-    # Under a cap of 2 the derived graph G' (3 vertices) is not counted,
-    # so cm_type = 2^m carries the note that only the formula gave it.
-    code, out, _ = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "2")
-    assert code == 2
+def test_analyze_notes_a_formula_only_cm_type(tmp_path, capsys):
+    # past the complex cap the derived graph G' is not counted, so
+    # cm_type = 2^m carries the note that only the formula gave it
+    code, out, err = run(capsys, "analyze", cm_past_the_cap(tmp_path, capsys))
+    assert code == 2 and err == ""
     payload = json.loads(out)
-    assert payload["cm_type"] == 2
+    assert payload["cm"] is True and payload["cm_type"] == 2**13
     assert payload["cm_type_reason"] == "formula only; derived graph exceeds the cap"
     keys = list(payload)
     assert keys.index("cm_type_reason") == keys.index("cm_type") + 1
 
 
-def test_capped_analyze_takes_theorem_fields_from_the_certificate(capsys):
+def test_capped_analyze_takes_theorem_fields_from_the_certificate(tmp_path, capsys):
     # Above the cap the complex is not built, but the decomposition still
     # gives unmixed = CM and vertex decomposability; the fields that need
     # the facet sizes stay null with their reasons.
-    code, out, _ = run(capsys, "analyze", str(DATA / "g5.edges"), "--max-vertices", "2")
+    code, out, _ = run(capsys, "analyze", cm_past_the_cap(tmp_path, capsys))
     assert code == 2
     payload = json.loads(out)
     assert payload["partial"] is True
@@ -265,19 +271,36 @@ def test_capped_analyze_takes_theorem_fields_from_the_certificate(capsys):
         assert f"{name}_reason" not in payload
     for name in ("cover_cardinalities", "i_g", "pd"):
         assert payload[name] is None
-        assert "cap is 2 vertices" in payload[f"{name}_reason"]
+        assert payload[f"{name}_reason"] == "independence-complex cap is 26 vertices, graph has 41"
 
 
-def test_capped_analyze_takes_star_triangle_unmixed_from_the_closed_form(capsys):
-    # three triangles at one vertex: covers of sizes 4 and 6, so mixed,
-    # which the closed form gives without the complex
-    code, out, _ = run(capsys, "analyze", str(DATA / "star7.edges"), "--max-vertices", "2")
+def test_capped_analyze_takes_star_triangle_unmixed_from_the_closed_form(tmp_path, capsys):
+    # 14 triangles at one vertex (29 vertices): covers of sizes 15 and 28,
+    # so mixed, which the closed form gives without the complex
+    path = tmp_path / "t14.edges"
+    path.write_text("".join(f"c a{k}\nc b{k}\na{k} b{k}\n" for k in range(14)))
+    code, out, _ = run(capsys, "analyze", str(path))
     assert code == 2
     payload = json.loads(out)
     assert payload["classification"] == {"tag": "StarTriangle"}
     assert payload["unmixed"] is False and "unmixed_reason" not in payload
     assert payload["cover_cardinalities"] is None
-    assert "cap is 2 vertices" in payload["cover_cardinalities_reason"]
+    assert "cap is 26 vertices, graph has 29" in payload["cover_cardinalities_reason"]
+
+
+def test_analyze_past_the_cap_names_the_size_in_every_reason(tmp_path, capsys):
+    # a 27-vertex path is tagged Other: the complex and the graph-level
+    # vertex-decomposability test both refuse it and say how large it is
+    path = tmp_path / "p27.edges"
+    path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(26)))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["m"], payload["im"], payload["reg"]) == (13, 9, None)
+    assert payload["unmixed_reason"] == "independence-complex cap is 26 vertices, graph has 27"
+    assert payload["vertex_decomposable_reason"] == (
+        "vertex-decomposability cap is 26 vertices, graph has 27"
+    )
 
 
 @pytest.mark.parametrize(
@@ -295,7 +318,7 @@ def test_loop_edge_is_an_input_error(tmp_path, capsys, fmt, text):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--max-vertices", "abc", str(DATA / "g5.edges")],
+        ["generate", "--n", "abc", "--m", "2", "--out", "never-written"],
         ["analyze", "--bogus", str(DATA / "g5.edges")],
         ["bogus", str(DATA / "g5.edges")],
         ["analyze", str(DATA / "g5.edges"), "--format=yaml"],
@@ -314,8 +337,10 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert out == "" and "error:" in err
 
 
-def test_max_vertices_is_an_analyze_option_only(capsys):
-    code, out, err = run(capsys, "classify", "--max-vertices", "3", str(DATA / "g5.edges"))
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_max_vertices_is_not_an_option(capsys, command):
+    # the report has no settings: every size limit is a fixed cap
+    code, out, err = run(capsys, command, "--max-vertices", "3", str(DATA / "g5.edges"))
     assert code == 1
     assert out == "" and "unrecognized arguments: --max-vertices" in err
 
@@ -398,53 +423,25 @@ def test_overlong_digit_run_is_an_input_error(tmp_path, capsys):
     assert out == "" and err.startswith("input error: vertex label 'a111")
 
 
-def test_analyze_past_the_recursion_ceiling_is_a_size_guard(tmp_path):
-    # a raised --max-vertices does not lift the recursion ceiling: the
-    # complex and vertex-decomposability fields are guarded, not a
-    # RecursionError
-    path = tmp_path / "wide.edges"
-    path.write_text("a b\n" + "".join(f"vertex v{i}\n" for i in range(1, 1201)))
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = [sys.executable, "-m", "cwgraphs.cli", "analyze", str(path), "--max-vertices", "5000"]
-    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 2, proc.stderr
-    assert b"Traceback" not in proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["partial"] is True
-    assert "recursion ceiling" in payload["unmixed_reason"]
-    assert "recursion ceiling" in payload["vertex_decomposable_reason"]
-
-
-def test_raised_max_vertices_keeps_the_report_past_the_recursion_ceiling(tmp_path, capsys):
-    # G' has 1 + 2 * 300 = 601 vertices: within --max-vertices 5000 but past
-    # the recursion ceiling, so cm_type is the formula and the report partial
-    out_base = tmp_path / "cm300"
-    code, _, _ = run(
-        capsys, "generate", "--n", "1", "--m", "300", "--max-f", "1", "--max-t", "1",
-        "--seed", "0", "--out", str(out_base),
-    )
-    assert code == 0
-    code, out, err = run(capsys, "analyze", f"{out_base}.edges", "--max-vertices", "5000")
-    assert code == 2 and err == ""
-    payload = json.loads(out)
-    assert payload["partial"] is True and payload["cm"] is True
-    assert payload["cm_type"] == 2**300
-    assert payload["cm_type_reason"] == "formula only; derived graph exceeds the cap"
-
-
 def test_oracle_refuses_past_its_edge_budget_before_searching(tmp_path, capsys, monkeypatch):
     from cwgraphs import cli
 
     def no_search(g):
-        raise AssertionError("matching search before the oracle's edge budget")
+        raise AssertionError("fast search before the oracle's budgets")
 
     monkeypatch.setattr(cli, "matching_number", no_search)
     monkeypatch.setattr(cli, "induced_matching_number", no_search)
+    monkeypatch.setattr(cli.complexes, "independence_complex", no_search)
     path = tmp_path / "p22.edges"
     path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(21)))
     code, out, err = run(capsys, "oracle", str(path))
     assert code == 2
     assert out == "" and err == "size guard: oracle edge budget is 20, graph has 21\n"
+    # 17 vertices and 16 edges: within the edge budget, past the vertex one
+    path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(16)))
+    code, out, err = run(capsys, "oracle", str(path))
+    assert code == 2
+    assert out == "" and err == "size guard: oracle vertex budget is 16, graph has 17\n"
 
 
 @pytest.mark.parametrize("argv", [["analyze", str(DATA / "g5.edges")], ["--help"]])

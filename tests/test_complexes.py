@@ -26,7 +26,7 @@ from cwgraphs import (
     verify_shelling,
 )
 from cwgraphs import shelling
-from cwgraphs.complexes import COMPLEX_VERTEX_CAP, RECURSION_VERTEX_CEILING
+from cwgraphs.complexes import COMPLEX_VERTEX_CAP
 from cwgraphs.errors import (
     LengthMismatch,
     NotAPermutation,
@@ -74,55 +74,47 @@ def test_independence_complex_size_guard():
         independence_complex(big)
 
 
-# Each recursion below runs about one frame deep per vertex at the
-# ceiling, with no cap in the way, and must finish without RecursionError
-# under the test runner's own frames; one vertex more is refused up front.
-CEILING = RECURSION_VERTEX_CEILING
-NAMES = [f"v{i}" for i in range(CEILING + 1)]
-
-
-def test_bron_kerbosch_at_the_recursion_ceiling():
-    # one facet holding every vertex: Bron-Kerbosch adds one per frame
-    cx = independence_complex(Graph(NAMES[:CEILING], []), cap=10**6)
-    assert [len(f) for f in cx.facets] == [CEILING]
-    with pytest.raises(SizeGuard, match="recursion ceiling"):
-        independence_complex(Graph(NAMES, []), cap=10**6)
-
-
-def test_graph_vd_recursions_at_the_ceiling():
-    # K_n sheds its first vertex at every level, so rec is n frames deep
-    kn = Graph(NAMES[:CEILING], itertools.combinations(NAMES[:CEILING], 2))
-    assert is_vertex_decomposable_graph(kn, cap=10**6)[0]
-    # a ~ h, a ~ u, h ~ every w, u ~ the last w: testing a as a shedding
-    # vertex runs the domination search over all the w, one frame each
-    ws = NAMES[: CEILING - 3]
-    broom = Graph(
-        ["a", "h", "u", *ws],
-        [("a", "h"), ("a", "u"), ("u", ws[-1])] + [("h", w) for w in ws],
-    )
-    assert broom.vertex_count == CEILING
-    assert is_vertex_decomposable_graph(broom, cap=10**6)[0]
-    with pytest.raises(SizeGuard, match="recursion ceiling"):
-        is_vertex_decomposable_graph(Graph(NAMES, []), cap=10**6)
-
-
 def test_fixed_caps_keep_their_recursion_under_the_ceiling():
-    # The matching search recurses once per vertex that has an edge: at
-    # most MATCHING_VERTEX_CAP levels for m, and two per edge for im.  The
-    # complex-level VD test sheds one support vertex per level.  None of
-    # the three can be given a larger cap, so none checks the ceiling.
-    assert MATCHING_VERTEX_CAP <= CEILING
-    assert 2 * INDUCED_EDGE_CAP <= CEILING
-    assert COMPLEX_VERTEX_CAP <= CEILING
-    # the deepest input each search accepts finishes
-    path = Graph(NAMES[:MATCHING_VERTEX_CAP], zip(NAMES, NAMES[1:MATCHING_VERTEX_CAP]))
+    # Each search recurses about once per vertex (twice per edge for im),
+    # so the deepest input its fixed cap admits must finish without
+    # RecursionError under the test runner's own frames.
+    names = [f"v{i}" for i in range(MATCHING_VERTEX_CAP)]
+    path = Graph(names, zip(names, names[1:]))
     assert matching_number(path)[0] == MATCHING_VERTEX_CAP // 2
     pairs = [(f"a{i}", f"b{i}") for i in range(INDUCED_EDGE_CAP)]
     spread = Graph([v for p in pairs for v in p], pairs)
     assert induced_matching_number(spread)[0] == INDUCED_EDGE_CAP
+    few = names[:COMPLEX_VERTEX_CAP]
     # singleton facets: each level sheds one vertex into the deletion
-    points = SimplicialComplex([[v] for v in NAMES[:COMPLEX_VERTEX_CAP]])
-    assert is_vertex_decomposable(points)[0]
+    assert is_vertex_decomposable(SimplicialComplex([[v] for v in few]))[0]
+    # one facet holding every vertex: Bron-Kerbosch adds one per frame
+    cx = independence_complex(Graph(few, []))
+    assert [len(f) for f in cx.facets] == [COMPLEX_VERTEX_CAP]
+    # K_n sheds its first vertex at every level, so rec is n frames deep
+    assert is_vertex_decomposable_graph(Graph(few, itertools.combinations(few, 2)))[0]
+    # a ~ h, a ~ u, h ~ every w, u ~ the last w: testing a as a shedding
+    # vertex runs the domination search over all the w, one frame each
+    ws = few[:-3]
+    broom = Graph(
+        ["a", "h", "u", *ws],
+        [("a", "h"), ("a", "u"), ("u", ws[-1])] + [("h", w) for w in ws],
+    )
+    assert broom.vertex_count == COMPLEX_VERTEX_CAP
+    assert is_vertex_decomposable_graph(broom)[0]
+
+
+def test_complex_size_guards_name_the_size():
+    names = [f"v{i}" for i in range(COMPLEX_VERTEX_CAP + 1)]
+    path = Graph(names, zip(names, names[1:]))
+    with pytest.raises(SizeGuard) as exc:
+        independence_complex(path)
+    assert str(exc.value) == "independence-complex cap is 26 vertices, graph has 27"
+    with pytest.raises(SizeGuard) as exc:
+        is_vertex_decomposable_graph(path)
+    assert str(exc.value) == "vertex-decomposability cap is 26 vertices, graph has 27"
+    with pytest.raises(SizeGuard) as exc:
+        is_vertex_decomposable(SimplicialComplex([[v] for v in names]))
+    assert str(exc.value) == "vertex-decomposability cap is 26 vertices, complex has 27"
 
 
 def test_purity():

@@ -33,7 +33,7 @@ from cwgraphs import (
     random_cw,
     regularity_cw,
 )
-from cwgraphs import invariants, structure
+from cwgraphs import complexes, invariants, structure
 from cwgraphs.complexes import COMPLEX_VERTEX_CAP
 from cwgraphs.errors import (
     InvalidDecomposition,
@@ -43,6 +43,13 @@ from cwgraphs.errors import (
 )
 from cwgraphs.graph import Graph
 from cwgraphs.structure import CWDecomposition
+
+
+def lower_complex_cap(monkeypatch, cap):
+    """Run the report's past-the-cap paths on small graphs: the complex
+    searches and the G' count read ``COMPLEX_VERTEX_CAP`` when called."""
+    monkeypatch.setattr(complexes, "COMPLEX_VERTEX_CAP", cap)
+    monkeypatch.setattr(invariants, "COMPLEX_VERTEX_CAP", cap)
 
 
 def test_minimal_vertex_covers_single_edge():
@@ -316,11 +323,12 @@ def test_cameron_walker_matchings_come_from_the_certificate(monkeypatch):
 )
 @pytest.mark.parametrize("cap", [26, 2])
 def test_im_equals_m_family_is_vertex_decomposable_by_theorem(monkeypatch, edges, cap):
-    def no_search(g, cap=None):
+    def no_search(g):
         raise AssertionError("vertex-decomposability search on an im = m graph")
 
     monkeypatch.setattr(invariants, "is_vertex_decomposable_graph", no_search)
-    rep = full_report(from_edge_list(edges), cap=cap)
+    lower_complex_cap(monkeypatch, cap)
+    rep = full_report(from_edge_list(edges))
     assert rep.vertex_decomposable is rep.sequentially_cm is True
     assert rep.partial is (cap == 2)
 
@@ -334,20 +342,23 @@ def test_im_equals_m_family_is_vertex_decomposable_by_theorem(monkeypatch, edges
         (STAR7_EDGES[:3], True),
         (STAR7_EDGES[:6], False),
         (STAR7_EDGES, False),
+        ([("c", f"l{i}") for i in range(1, 31)], False),
+        (star_triangle(14).edges, False),
     ],
 )
 @pytest.mark.parametrize("cap", [26, 2])
-def test_star_and_star_triangle_unmixed_at_any_size(edges, unmixed, cap):
+def test_star_and_star_triangle_unmixed_at_any_size(monkeypatch, edges, unmixed, cap):
     # a star is unmixed iff it has at most two vertices, a star triangle
     # iff it is a single triangle; above the cap the closed form decides
-    rep = full_report(from_edge_list(edges), cap=cap)
+    lower_complex_cap(monkeypatch, cap)
+    rep = full_report(from_edge_list(edges))
     assert rep.unmixed is unmixed and "unmixed" not in rep.reasons
-    if cap == 26:
+    if rep.cover_cardinalities is not None:
         assert (len(set(rep.cover_cardinalities)) == 1) is unmixed
 
 
 def test_single_vertex_star_is_unmixed():
-    rep = full_report(from_edge_list([], isolated=["v"]), cap=0)
+    rep = full_report(from_edge_list([], isolated=["v"]))
     assert rep.classification.tag == "Star" and rep.unmixed is True
 
 
@@ -355,7 +366,7 @@ def test_single_vertex_star_is_unmixed():
 def test_purity_disagreeing_with_the_star_closed_form_raises(monkeypatch, edges):
     # a pure complex handed to the report of a mixed star (triangle)
     edge = from_edge_list([("a", "b")])
-    monkeypatch.setattr(invariants, "independence_complex", lambda g, cap: independence_complex(edge))
+    monkeypatch.setattr(invariants, "independence_complex", lambda g: independence_complex(edge))
     with pytest.raises(NotInFamily, match="closed form"):
         full_report(from_edge_list(edges))
 
@@ -373,9 +384,9 @@ def test_purity_disagreeing_with_the_cm_shape_raises(monkeypatch, edges):
 def test_full_report_builds_one_independence_complex(monkeypatch):
     built = []
 
-    def counting(g, cap):
+    def counting(g):
         built.append(g.vertex_count)
-        return independence_complex(g, cap=cap)
+        return independence_complex(g)
 
     monkeypatch.setattr(invariants, "independence_complex", counting)
     full_report(from_edge_list(P5_EDGES))
@@ -440,23 +451,41 @@ def test_other_report_pins_reg_where_the_searches_agree():
     assert rep.reasons["reg"] == rep.reasons["im"] == "induced-matching cap is 96 edges, graph has 98"
 
 
-def test_cm_type_past_the_recursion_ceiling_is_formula_only():
-    # G' has n + 2m = 601 vertices: within a cap of 5000 but past the
-    # recursion ceiling, so the type is the formula, not a SizeGuard
-    dec = random_cw(1, 300, 1, 1, 0.0, 0)
-    g = build_cw(dec)
-    assert (g.vertex_count, dec.n + 2 * dec.m) == (902, 601)
-    assert cm_type_cw(dec, cap=5000) == 2**300
-    rep = full_report(g, cap=5000)
-    assert rep.partial and rep.cm is True and rep.cm_type == 2**300
-    assert rep.reasons["cm_type"] == "formula only; derived graph exceeds the cap"
+def test_cm_type_past_the_cap_is_formula_only(monkeypatch):
+    # G' has n + 2m vertices: at 26 its maximal independent sets are
+    # counted, at 27 the type is the formula alone
+    built = []
+
+    def counting(g):
+        built.append(g.vertex_count)
+        return independence_complex(g)
+
+    monkeypatch.setattr(invariants, "independence_complex", counting)
+    for n, m, counted in ((2, 12, True), (1, 13, False)):
+        dec = random_cw(n, m, 1, 1, 0.0, 0)
+        assert dec.n + 2 * dec.m == 26 + (not counted)
+        built.clear()
+        assert cm_type_cw(dec) == 2**m
+        assert built == ([26] if counted else [])
+        rep = full_report(build_cw(dec))
+        assert rep.partial and rep.cm is True and rep.cm_type == 2**m
+        if counted:
+            assert "cm_type" not in rep.reasons
+        else:
+            assert rep.reasons["cm_type"] == "formula only; derived graph exceeds the cap"
 
 
 def test_report_to_dict_is_the_json_payload():
-    for g in (from_edge_list(G5_EDGES), from_edge_list(STAR7_EDGES), complete_graph(4)):
-        for cap in (COMPLEX_VERTEX_CAP, 2):
-            rep = full_report(g, cap=cap)
-            assert rep.to_json() == json.dumps(rep.to_dict())
+    graphs = (
+        from_edge_list(G5_EDGES),
+        from_edge_list(STAR7_EDGES),
+        complete_graph(4),
+        from_edge_list([(f"p{i}", f"p{i + 1}") for i in range(1, 27)]),
+        build_cw(random_cw(1, 13, 1, 1, 0.0, 0)),
+    )
+    for g in graphs:
+        rep = full_report(g)
+        assert rep.to_json() == json.dumps(rep.to_dict())
 
 
 def test_report_invariants_on_corpus_sample():

@@ -1,11 +1,8 @@
 """The names the package exports and the layers the benchmark traces."""
 
 import ast
-import importlib
-import inspect
 import json
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -113,34 +110,31 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_size_limits_are_constants_except_where_max_vertices_reaches():
-    # Only what `analyze --max-vertices` reaches takes a cap; every other
-    # search reads its module constant, which keeps it under the recursion
-    # ceiling, so only the two searches a cap can push past it check it.
-    capped = set()
-    for info in pkgutil.iter_modules(cwgraphs.__path__):
-        module = importlib.import_module(f"cwgraphs.{info.name}")
-        for name, fn in vars(module).items():
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
-                if "cap" in inspect.signature(fn).parameters:
-                    capped.add(f"{info.name}.{name}")
-    assert capped == {
-        "complexes.independence_complex",
-        "complexes.is_vertex_decomposable_graph",
-        "invariants.cm_type_cw",
-        "invariants.full_report",
-    }
-    ceiling_checks, defined = set(), {}
+    # No option reaches a search's size, so nothing is excepted: every
+    # search reads its fixed cap, a module constant, when called, no
+    # function takes a cap, and no second limit sits on top of the caps.
+    takes_cap, defined = [], {}
     for path in sorted((ROOT / "src" / "cwgraphs").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                if "cap" in names:
+                    takes_cap.append(f"{path.name}:{node.lineno}")
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and any(
-                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check_ceiling"
-                for call in ast.walk(node)
-            ):
-                ceiling_checks.add(node.name)
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     defined.setdefault(getattr(target, "id", None), []).append(path.name)
-    assert ceiling_checks == {"independence_complex", "is_vertex_decomposable_graph"}
-    for name in ("PLUS", "MINUS", "SHELLING_FACET_CAP"):
-        assert defined[name] == ["shelling.py"], name
+    assert takes_cap == []
+    expected = {
+        "COMPLEX_VERTEX_CAP": "complexes.py",
+        "MATCHING_VERTEX_CAP": "matchings.py",
+        "INDUCED_EDGE_CAP": "matchings.py",
+        "SHELLING_FACET_CAP": "shelling.py",
+        "PLUS": "shelling.py",
+        "MINUS": "shelling.py",
+    }
+    for name, module in expected.items():
+        assert defined[name] == [module], name
+    assert "RECURSION_VERTEX_CEILING" not in defined

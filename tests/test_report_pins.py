@@ -3,10 +3,11 @@ fixed set of graphs, recorded in ``tests/data/report_pins.json``.
 
 The set is every bundled ``*.edges`` graph, seeded ``random_cw`` graphs
 within the complex cap, stars, star triangles and graphs tagged Other,
-all at the default cap, plus ten of the Cameron-Walker graphs and the
-Other graphs again at cap 4, where most of their reports are partial.
-Regenerate the file with ``python tests/test_report_pins.py`` only when
-a report is meant to change.
+plus graphs just past the cap, where the complex is refused and the
+report is partial: ten seeded ``random_cw`` graphs of 27 to 40
+vertices, a path and a cycle on 27 vertices, K_{1,30} and 14 triangles
+at a centre.  Regenerate the file with ``python tests/test_report_pins.py``
+only when a report is meant to change.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ from corpus import complete_bipartite, complete_graph, star_triangle  # noqa: E4
 DATA = Path(__file__).resolve().parent / "data"
 PINS = DATA / "report_pins.json"
 PIN_SEED = 9001
-SMALL_CAP = 4
+PAST_CAP_SEED = 9002
 
 
 def _path(k: int) -> Graph:
@@ -38,10 +39,14 @@ def _cycle(k: int) -> Graph:
     return Graph(verts, zip(verts, verts[1:] + verts[:1]))
 
 
+def _star(k: int) -> Graph:
+    leaves = [f"l{i}" for i in range(1, k + 1)]
+    return Graph(["c", *leaves], [("c", v) for v in leaves])
+
+
 def pinned_inputs():
-    """(name, graph, cap) for every pinned report."""
-    cases = [(p.name, parse_edge_list(p.read_text()), COMPLEX_VERTEX_CAP)
-             for p in sorted(DATA.glob("*.edges"))]
+    """(name, graph) for every pinned report."""
+    cases = [(p.name, parse_edge_list(p.read_text())) for p in sorted(DATA.glob("*.edges"))]
     rng = random.Random(PIN_SEED)
     cw = []
     while len(cw) < 30:
@@ -52,12 +57,18 @@ def pinned_inputs():
         dec = random_cw(*args)
         if dec.vertex_count() <= COMPLEX_VERTEX_CAP:
             cw.append((f"random_cw{args!r}", build_cw(dec)))
+    rng = random.Random(PAST_CAP_SEED)
+    past = []
+    while len(past) < 10:
+        args = (rng.randint(1, 6), rng.randint(1, 8), rng.randint(1, 2), rng.randint(1, 2),
+                round(rng.random(), 3), rng.randrange(2**20))
+        dec = random_cw(*args)
+        if COMPLEX_VERTEX_CAP < dec.vertex_count() <= 40:
+            past.append((f"random_cw{args!r}", build_cw(dec)))
     for k in range(0, 7):
-        leaves = [f"l{i}" for i in range(1, k + 1)]
-        star = Graph(["c", *leaves], [("c", v) for v in leaves])
-        cases.append((f"star K_1,{k}", star, COMPLEX_VERTEX_CAP))
+        cases.append((f"star K_1,{k}", _star(k)))
     for t in range(1, 5):
-        cases.append((f"star triangle t={t}", star_triangle(t), COMPLEX_VERTEX_CAP))
+        cases.append((f"star triangle t={t}", star_triangle(t)))
     other = [
         ("path P6", _path(6)),
         ("cycle C5", _cycle(5)),
@@ -67,17 +78,19 @@ def pinned_inputs():
         ("two edges", Graph("abcd", [("a", "b"), ("c", "d")])),
         ("triangle with a tail", Graph("abcd", [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])),
     ]
-    for name, g in cw + other:
-        cases.append((name, g, COMPLEX_VERTEX_CAP))
-    for name, g in cw[:10] + other:
-        cases.append((f"{name} @cap {SMALL_CAP}", g, SMALL_CAP))
-    return cases
+    past += [
+        ("path P27", _path(27)),
+        ("cycle C27", _cycle(27)),
+        ("star K_1,30", _star(30)),
+        ("star triangle t=14", star_triangle(14)),
+    ]
+    return cases + cw + other + past
 
 
 def digests() -> dict[str, str]:
     return {
-        name: hashlib.sha256(full_report(g, cap=cap).to_json().encode()).hexdigest()
-        for name, g, cap in pinned_inputs()
+        name: hashlib.sha256(full_report(g).to_json().encode()).hexdigest()
+        for name, g in pinned_inputs()
     }
 
 

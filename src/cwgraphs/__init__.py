@@ -24,7 +24,6 @@ from .complexes import (
     verify_shelling,
 )
 from .graph import (
-    BipartitePartition,
     Graph,
     from_edge_list,
     label_key,

@@ -130,12 +130,11 @@ def cmd_oracle(args) -> int:
     from . import oracle
 
     g = _read_graph(args.path, args.format)
-    budget = oracle.OracleBudget()
     mismatches = []
 
     # the oracle's edge and vertex budgets refuse before the fast searches run
-    om, oim = oracle.oracle_matchings(g, budget)
-    oracle_sets = oracle.oracle_max_independent_sets(g, budget)
+    om, oim = oracle.oracle_matchings(g)
+    oracle_sets = oracle.oracle_max_independent_sets(g)
     m, _ = matching_number(g)
     im, _ = induced_matching_number(g)
     if (m, im) != (om, oim):
@@ -147,9 +146,9 @@ def cmd_oracle(args) -> int:
         mismatches += ["maximal independent sets differ", "minimal vertex covers differ"]
 
     checked_shelling = False
-    if len(cx.facets) <= budget.max_facets:
+    if len(cx.facets) <= oracle.ORACLE_FACET_CAP:
         vd, _ = complexes.is_vertex_decomposable(cx)
-        exists, _ = oracle.oracle_shelling_exists(cx, budget)
+        exists, _ = oracle.oracle_shelling_exists(cx)
         checked_shelling = True
         if vd and not exists:
             mismatches.append("vertex decomposable but no shelling found")

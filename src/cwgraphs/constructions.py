@@ -13,10 +13,22 @@ import random
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from .errors import InvalidParams, InvalidSize, NotAClique, NotAPartition, ParseError
-from .graph import Graph, label_key
+from .errors import InvalidParams, InvalidSize, NotAClique, NotAPartition, ParseError, SizeGuard
+from .graph import Graph
 from .records import FrozenRecord, set_field
 from .structure import CWDecomposition
+
+# Bound on the work of building a decomposition: its support pairs plus
+# the most vertices it can name.  Checked before any draw or label.
+GENERATOR_WORK_CAP = 60_000
+
+
+def _refuse_past_work_cap(work: int) -> None:
+    if work > GENERATOR_WORK_CAP:
+        raise SizeGuard(
+            f"decomposition would take {work} units of work (support pairs plus"
+            f" vertices), cap is {GENERATOR_WORK_CAP}"
+        )
 
 
 def decomposition_from_json(text: str) -> CWDecomposition:
@@ -24,7 +36,8 @@ def decomposition_from_json(text: str) -> CWDecomposition:
 
     The schema carries leaf/triangle counts only, so attachment vertices
     get canonical names keyed by position (z{i}_{l}, w{j}_{k}+/-).  Each
-    count must be a JSON integer >= 0, not a fraction or a boolean.
+    count must be a JSON integer >= 0, not a fraction or a boolean.  The
+    support edges plus n + m + f + 2t must not pass ``GENERATOR_WORK_CAP``.
     """
     try:
         payload = json.loads(text)
@@ -41,19 +54,21 @@ def decomposition_from_json(text: str) -> CWDecomposition:
         left = tuple(payload["left"])
         right = tuple(payload["right"])
         support = Graph(left + right, [tuple(e) for e in payload["support_edges"]])
-        leaf_map = {
-            x: tuple(f"z{i}_{l}" for l in range(1, count("leaves", x) + 1))
-            for i, x in enumerate(left, start=1)
-        }
-        triangle_map = {
-            y: tuple(
-                (f"w{j}_{k}+", f"w{j}_{k}-")
-                for k in range(1, count("triangles", y) + 1)
-            )
-            for j, y in enumerate(right, start=1)
-        }
+        leaves = [count("leaves", x) for x in left]
+        triangles = [count("triangles", y) for y in right]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed decomposition JSON: {exc}") from exc
+    _refuse_past_work_cap(
+        support.edge_count + len(left) + len(right) + sum(leaves) + 2 * sum(triangles)
+    )
+    leaf_map = {
+        x: tuple(f"z{i}_{l}" for l in range(1, f + 1))
+        for i, (x, f) in enumerate(zip(left, leaves), start=1)
+    }
+    triangle_map = {
+        y: tuple((f"w{j}_{k}+", f"w{j}_{k}-") for k in range(1, t + 1))
+        for j, (y, t) in enumerate(zip(right, triangles), start=1)
+    }
     return CWDecomposition(support, left, right, leaf_map, triangle_map)
 
 
@@ -142,8 +157,7 @@ def whisker_partition(p: CliquePartition) -> Graph:
             name += "@"
         used.add(name)
         vertices.append(name)
-        for v in sorted(part, key=label_key):
-            edges.append((name, v))
+        edges.extend((name, v) for v in part)
     return Graph(vertices, edges)
 
 
@@ -162,7 +176,9 @@ def random_cw(
     t_j uniform in [0, max_t].  Draws are adjusted so the built graph is
     a genuine Cameron-Walker graph: a right vertex of support degree 1
     must carry a triangle (otherwise it would read as a leaf), which with
-    n = 1 forces at least one triangle in total.
+    n = 1 forces at least one triangle in total.  SizeGuard refuses, before
+    any draw, when n * m + n + m + n * max_f + 2 * m * max_t passes
+    ``GENERATOR_WORK_CAP``.
     """
     if n < 1 or m < 1:
         raise InvalidParams("need n >= 1 and m >= 1")
@@ -174,6 +190,7 @@ def random_cw(
         raise InvalidParams(
             "n = 1 with max_t = 0 can only produce stars; allow triangles"
         )
+    _refuse_past_work_cap(n * m + n + m + n * max_f + 2 * m * max_t)
     rng = random.Random(seed)
 
     # Random spanning tree of the bipartite support, then extra edges.

@@ -25,10 +25,6 @@ class UnknownVertex(CWGraphError):
     pass
 
 
-class Disconnected(CWGraphError):
-    pass
-
-
 class NotAnEdge(CWGraphError):
     pass
 

@@ -13,14 +13,7 @@ import sys
 from collections import deque
 from collections.abc import Iterable
 
-from .errors import (
-    Disconnected,
-    EmptyGraph,
-    LoopEdge,
-    ParseError,
-    UnknownVertex,
-)
-from .records import FrozenRecord, set_field
+from .errors import EmptyGraph, LoopEdge, ParseError, UnknownVertex
 
 _DIGIT_RUN = re.compile(r"(\d+)")
 
@@ -54,19 +47,6 @@ def _vertex_order(labels: set) -> tuple[str, ...]:
 
 def canonical_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if label_key(u) <= label_key(v) else (v, u)
-
-
-class BipartitePartition(FrozenRecord):
-    """Proper 2-coloring of a connected bipartite graph.
-
-    ``left`` is the side containing the canonically smallest vertex.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: tuple[str, ...], right: tuple[str, ...]):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
 
 
 class Graph:
@@ -235,38 +215,6 @@ class Graph:
             "edges": [list(e) for e in self._edges],
         }
         return json.dumps(payload)
-
-
-def two_coloring(g: Graph, vertices: tuple[str, ...]) -> BipartitePartition | None:
-    """2-coloring of the subgraph of g induced on ``vertices`` by
-    breadth-first layering; None if that subgraph has an odd cycle.
-
-    ``vertices`` must be in label order, and its first vertex's side is
-    "left".  Raises Disconnected when the subgraph is empty or
-    disconnected, whether or not it also has an odd cycle.
-    """
-    if not vertices:
-        raise Disconnected("the empty graph has no bipartition")
-    adj = g._adjacency()
-    keep = set(vertices)
-    color = {vertices[0]: 0}
-    queue = deque([vertices[0]])
-    odd = False
-    while queue:
-        u = queue.popleft()
-        for w in adj[u] & keep:
-            if w not in color:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                odd = True
-    if len(color) != len(keep):
-        raise Disconnected("bipartition requires a connected graph")
-    if odd:
-        return None
-    left = tuple(v for v in vertices if color[v] == 0)
-    right = tuple(v for v in vertices if color[v] == 1)
-    return BipartitePartition(left, right)
 
 
 def from_edge_list(

@@ -19,7 +19,7 @@ from .errors import (
     NotInFamily,
     SizeGuard,
 )
-from .graph import Graph, sorted_labels
+from .graph import Graph
 from .matchings import induced_matching_number, matching_number
 from .records import Record
 from .structure import (
@@ -167,7 +167,7 @@ def independence_domination_number(g: Graph):
     Returns (value, canonical witness)."""
     # facets come in canonical order, so the first of least size wins
     best = min(independence_complex(g).facets, key=len)
-    return len(best), sorted_labels(best)
+    return len(best), tuple(v for v in g.vertices if v in best)
 
 
 def projective_dimension_cw(g: Graph) -> int:

@@ -15,19 +15,24 @@ from .graph import Graph, label_key, sorted_labels
 from .records import FrozenRecord, set_field
 
 
-class OracleBudget(FrozenRecord):
-    __slots__ = ("max_vertices", "max_edges", "max_facets")
+# Fixed limits of the sweeps; only the independent-set sweep takes its
+# vertex budget as a parameter.
+ORACLE_EDGE_CAP = 20
+ORACLE_FACET_CAP = 12
+ENUMERATION_VERTEX_CAP = 6
 
-    def __init__(self, max_vertices: int = 16, max_edges: int = 20, max_facets: int = 12):
+
+class OracleBudget(FrozenRecord):
+    __slots__ = ("max_vertices",)
+
+    def __init__(self, max_vertices: int = 16):
         set_field(self, "max_vertices", max_vertices)
-        set_field(self, "max_edges", max_edges)
-        set_field(self, "max_facets", max_facets)
 
 
 DEFAULT_BUDGET = OracleBudget()
 
 
-def oracle_matchings(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, int]:
+def oracle_matchings(g: Graph) -> tuple[int, int]:
     """(m, im) by enumerating all edge subsets.
 
     A subset is a matching iff its edges are pairwise disjoint, and an
@@ -36,8 +41,8 @@ def oracle_matchings(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[i
     """
     edges = g.edges
     k = len(edges)
-    if k > budget.max_edges:
-        raise BudgetExceeded(f"oracle edge budget is {budget.max_edges}, graph has {k}")
+    if k > ORACLE_EDGE_CAP:
+        raise BudgetExceeded(f"oracle edge budget is {ORACLE_EDGE_CAP}, graph has {k}")
     if k == 0:
         return 0, 0
 
@@ -118,7 +123,7 @@ def oracle_max_independent_sets(
     return tuple(found)
 
 
-def oracle_shelling_exists(c, budget: OracleBudget = DEFAULT_BUDGET):
+def oracle_shelling_exists(c):
     """Search every facet order for a shelling; returns (flag, order or None).
 
     Whether an order can be extended depends only on the set of facets
@@ -126,8 +131,8 @@ def oracle_shelling_exists(c, budget: OracleBudget = DEFAULT_BUDGET):
     """
     facets = list(c.facets)
     s = len(facets)
-    if s > budget.max_facets:
-        raise BudgetExceeded(f"oracle facet budget is {budget.max_facets}, complex has {s}")
+    if s > ORACLE_FACET_CAP:
+        raise BudgetExceeded(f"oracle facet budget is {ORACLE_FACET_CAP}, complex has {s}")
     if s <= 1:
         return True, tuple(facets)
 
@@ -163,8 +168,8 @@ def oracle_shelling_exists(c, budget: OracleBudget = DEFAULT_BUDGET):
 
 def enumerate_labeled_graphs(n: int):
     """All labelled graphs on vertices v1..vn, in deterministic order."""
-    if n > 6:
-        raise BudgetExceeded("labelled enumeration is capped at 6 vertices")
+    if n > ENUMERATION_VERTEX_CAP:
+        raise BudgetExceeded(f"labelled enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
     verts = [f"v{i}" for i in range(1, n + 1)]
     pairs = list(itertools.combinations(verts, 2))
     for code in range(1 << len(pairs)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 
 from .errors import LengthMismatch, NotCompleteBipartiteSupport, SizeGuard
 from .graph import label_key
@@ -28,13 +29,6 @@ def _sign_vector_key(v) -> tuple:
     """Sort key for equal-length +/- vectors: fewer plusses first; on a
     tie the vector with '+' at the first differing entry first."""
     return v.count(PLUS), [s != PLUS for s in v]
-
-
-def _subset_key(s) -> tuple:
-    """Sort key for index sets: larger cardinality first; on a tie the
-    set that lacks the least index of the symmetric difference first,
-    i.e. the one with the higher entry where the sorted tuples differ."""
-    return -len(s), [-i for i in sorted(s)]
 
 
 def _sign_vectors_descending(length: int) -> list[tuple[str, ...]]:
@@ -80,8 +74,10 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
 
     Facets come in two shapes: with no left vertex chosen (one family per
     subset I of the triangle-bearing right vertices) or with a nonempty
-    left subset J chosen.  Families are emitted in descending index-set
-    order, facets within a family in descending sign-vector order.
+    left subset J chosen.  Families are emitted in the order
+    ``_all_subsets`` enumerates their index sets, by size and then
+    lexicographically; facets within a family in descending sign-vector
+    order.
     """
     n, m = dec.n, dec.m
     if dec.support.edge_count != n * m:
@@ -90,11 +86,9 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         )
     t_counts = dec.t_counts
     m_prime = dec.m_prime
-    t_total = dec.t
-    total = sum(
-        2 ** sum(t_counts[i - 1] for i in range(1, m_prime + 1) if i not in set(idx))
-        for idx in _all_subsets(m_prime)
-    ) + (2**n - 1) * 2**t_total
+    # F_I has 2^(sum of t_i over i not in I) facets, so the F families
+    # together have prod (1 + 2^t_i) over i <= m'; each G_J has 2^t.
+    total = math.prod(1 + 2**t for t in t_counts[:m_prime]) + (2**n - 1) * 2**dec.t
     if total > SHELLING_FACET_CAP:
         raise SizeGuard(f"shelling would have {total} facets, cap is {SHELLING_FACET_CAP}")
 
@@ -110,7 +104,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
 
     # one sort per vector length, not per family
     sign_vectors = functools.cache(_sign_vectors_descending)
-    for idx in sorted(_all_subsets(m_prime), key=_subset_key, reverse=True):
+    for idx in _all_subsets(m_prime):
         chosen = set(idx)
         slots = [
             (i, k)
@@ -122,11 +116,10 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         for nu in sign_vectors(len(slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(slots, nu)}
             facets.append(frozenset(base | extra))
-            provenance.append(FacetProvenance("F", tuple(sorted(idx)), nu))
+            provenance.append(FacetProvenance("F", idx, nu))
 
     all_slots = [(i, k) for i in range(1, m_prime + 1) for k in range(t_counts[i - 1])]
-    nonempty = [s for s in _all_subsets(n) if s]
-    for idx in sorted(nonempty, key=_subset_key, reverse=True):
+    for idx in _all_subsets(n)[1:]:
         chosen = set(idx)
         base = {dec.left[j - 1] for j in chosen}
         for j in range(1, n + 1):
@@ -135,7 +128,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         for nu in sign_vectors(len(all_slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(all_slots, nu)}
             facets.append(frozenset(base | extra))
-            provenance.append(FacetProvenance("G", tuple(sorted(idx)), nu))
+            provenance.append(FacetProvenance("G", idx, nu))
 
     if len(facets) != total:
         raise LengthMismatch(f"shelling lists {len(facets)} facets, the count is {total}")
@@ -143,6 +136,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
 
 
 def _all_subsets(ubound: int) -> list[tuple[int, ...]]:
+    """Every subset of 1..ubound, by size and then lexicographically."""
     out = []
     for r in range(ubound + 1):
         out.extend(itertools.combinations(range(1, ubound + 1), r))

@@ -9,11 +9,12 @@ whose right vertices may carry pendant triangles.
 from __future__ import annotations
 
 import json
+from collections import deque
 from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import InvalidDecomposition, NotCameronWalker
-from .graph import Graph, label_key, sorted_labels, two_coloring
+from .graph import Graph
 from .records import FrozenRecord, set_field
 
 TAG_STAR = "Star"
@@ -219,13 +220,36 @@ def _attachments(g: Graph):
     return leaves, triangles, support_vertices
 
 
+def _two_coloring(g: Graph, vertices: list[str]):
+    """The sides (left, right) of the subgraph of g induced on the nonempty
+    ``vertices``, each in their order, by breadth-first layering from the
+    first; None at the first edge inside a side.  A vertex the layering
+    misses (a connected subgraph has none) lands on neither side, which
+    ``CWDecomposition.validate`` rejects."""
+    adj = g._adjacency()
+    keep = set(vertices)
+    color = {vertices[0]: 0}
+    queue = deque([vertices[0]])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u] & keep:
+            if w not in color:
+                color[w] = 1 - color[u]
+                queue.append(w)
+            elif color[w] == color[u]:
+                return None
+    left = tuple(v for v in vertices if color.get(v) == 0)
+    right = tuple(v for v in vertices if color.get(v) == 1)
+    return left, right
+
+
 def _try_decompose(g: Graph):
     """Attempt the structural reading; returns (decomposition, reason)."""
     leaves, triangles, support_vertices = _attachments(g)
     if len(support_vertices) < 2:
         return None, "support has fewer than two vertices after stripping"
-    bip = two_coloring(g, support_vertices)
-    if bip is None:
+    sides = _two_coloring(g, support_vertices)
+    if sides is None:
         return None, "support is not bipartite"
 
     leaf_at: dict[str, list[str]] = {v: [] for v in support_vertices}
@@ -249,19 +273,22 @@ def _try_decompose(g: Graph):
         )
 
     # At most one orientation passes: the first needs every vertex of the
-    # nonempty bip.right leafless, the second needs a leaf on each.
-    if orientation_ok(bip.left, bip.right):
-        left_side, right_side = bip.left, bip.right
-    elif orientation_ok(bip.right, bip.left):
-        left_side, right_side = bip.right, bip.left
+    # nonempty second side leafless, the second needs a leaf on each.
+    first, second = sides
+    if orientation_ok(first, second):
+        left, right_side = first, second
+    elif orientation_ok(second, first):
+        left, right_side = second, first
     else:
         return None, "no side has a leaf on every vertex with triangles on the other"
 
-    left = sorted_labels(left_side)
-    right = tuple(
-        sorted(right_side, key=lambda y: (0 if tri_at[y] else 1, label_key(y)))
+    # Both sides and every leaf list are in label order already, since
+    # they were filled in the order of g.vertices; the right side is split
+    # stably, triangle-bearing vertices first.
+    right = tuple(y for y in right_side if tri_at[y]) + tuple(
+        y for y in right_side if not tri_at[y]
     )
-    leaf_map = {x: sorted_labels(leaf_at[x]) for x in left}
+    leaf_map = {x: tuple(leaf_at[x]) for x in left}
     triangle_map = {y: tuple(tri_at[y]) for y in right}
     support = g.induced_subgraph(support_vertices)
     return CWDecomposition(support, left, right, leaf_map, triangle_map), None

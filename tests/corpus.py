@@ -107,3 +107,29 @@ STAR7_EDGES = [
     ("1", "4"), ("1", "5"), ("4", "5"),
     ("1", "6"), ("1", "7"), ("6", "7"),
 ]
+
+
+def small_complete_support_decs():
+    """The 60 decompositions over K_{n,m}, n, m <= 2, with one or two
+    leaves per left vertex and up to two triangles per right vertex."""
+    for n in (1, 2):
+        for m in (1, 2):
+            left = tuple(f"x{i + 1}" for i in range(n))
+            right = tuple(f"y{j + 1}" for j in range(m))
+            support = Graph(left + right, [(x, y) for x in left for y in right])
+            for fs in itertools.product((1, 2), repeat=n):
+                for ts in itertools.product((0, 1, 2), repeat=m):
+                    if any(ts[j] == 0 and ts[j + 1] > 0 for j in range(m - 1)):
+                        continue  # keep triangle-bearing vertices first
+                    leaf_map = {
+                        x: tuple(f"z{i + 1}_{l + 1}" for l in range(fs[i]))
+                        for i, x in enumerate(left)
+                    }
+                    triangle_map = {
+                        y: tuple(
+                            (f"w{j + 1}_{k + 1}+", f"w{j + 1}_{k + 1}-")
+                            for k in range(ts[j])
+                        )
+                        for j, y in enumerate(right)
+                    }
+                    yield CWDecomposition(support, left, right, leaf_map, triangle_map)

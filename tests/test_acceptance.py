@@ -14,6 +14,7 @@ from corpus import (
     petersen,
     random_clique_partition,
     random_graph,
+    small_complete_support_decs,
     star_triangle,
 )
 from cwgraphs import (
@@ -45,9 +46,8 @@ from cwgraphs import (
     verify_shelling,
     whisker_partition,
 )
-from cwgraphs.graph import Graph
 from cwgraphs.invariants import _is_vertex_cover
-from cwgraphs.structure import CWDecomposition, TAG_OTHER
+from cwgraphs.structure import TAG_OTHER
 
 
 @contextmanager
@@ -157,35 +157,11 @@ def test_criterion_6_no_gorenstein():
                 assert cm_type_cw(dec) >= 2
 
 
-def _all_small_complete_support_decs():
-    for n in (1, 2):
-        for m in (1, 2):
-            left = tuple(f"x{i + 1}" for i in range(n))
-            right = tuple(f"y{j + 1}" for j in range(m))
-            support = Graph(left + right, [(x, y) for x in left for y in right])
-            for fs in itertools.product((1, 2), repeat=n):
-                for ts in itertools.product((0, 1, 2), repeat=m):
-                    if any(ts[j] == 0 and ts[j + 1] > 0 for j in range(m - 1)):
-                        continue  # keep triangle-bearing vertices first
-                    leaf_map = {
-                        x: tuple(f"z{i + 1}_{l + 1}" for l in range(fs[i]))
-                        for i, x in enumerate(left)
-                    }
-                    triangle_map = {
-                        y: tuple(
-                            (f"w{j + 1}_{k + 1}+", f"w{j + 1}_{k + 1}-")
-                            for k in range(ts[j])
-                        )
-                        for j, y in enumerate(right)
-                    }
-                    yield CWDecomposition(support, left, right, leaf_map, triangle_map)
-
-
 def test_criterion_7_shelling():
     with criterion(7, "explicit shelling over complete bipartite support"):
         start = time.time()
         count = 0
-        for dec in _all_small_complete_support_decs():
+        for dec in small_complete_support_decs():
             count += 1
             order = cw_shelling(dec)
             cx = independence_complex(build_cw(dec))

@@ -142,7 +142,7 @@ def test_oracle_command_enumerates_the_complex_once(capsys, monkeypatch):
 def test_oracle_disagreement_exits_4(capsys, monkeypatch):
     from cwgraphs import oracle
 
-    monkeypatch.setattr(oracle, "oracle_matchings", lambda g, budget: (0, 0))
+    monkeypatch.setattr(oracle, "oracle_matchings", lambda g: (0, 0))
     code, out, err = run(capsys, "oracle", str(DATA / "g5.edges"))
     assert code == 4
     assert json.loads(out)["mismatches"] == ["matchings: fast (2, 2) vs oracle (0, 0)"]
@@ -152,8 +152,8 @@ def test_oracle_disagreement_exits_4(capsys, monkeypatch):
 def test_oracle_names_each_disagreement(capsys, monkeypatch):
     from cwgraphs import oracle
 
-    monkeypatch.setattr(oracle, "oracle_max_independent_sets", lambda g, budget: ())
-    monkeypatch.setattr(oracle, "oracle_shelling_exists", lambda cx, budget: (False, None))
+    monkeypatch.setattr(oracle, "oracle_max_independent_sets", lambda g: ())
+    monkeypatch.setattr(oracle, "oracle_shelling_exists", lambda cx: (False, None))
     code, out, err = run(capsys, "oracle", str(DATA / "g5.edges"))
     assert code == 4
     assert json.loads(out)["mismatches"] == [
@@ -377,6 +377,16 @@ def test_directory_path_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "classify", str(tmp_path))
     assert code == 1
     assert out == "" and err.startswith("input error: cannot read")
+
+
+def test_generate_past_the_work_cap_exits_2(tmp_path, capsys):
+    out_base = tmp_path / "g"
+    code, out, err = run(
+        capsys, "generate", "--n", "1", "--m", "1", "--max-f", str(10**12), "--out", str(out_base)
+    )
+    assert code == 2
+    assert out == "" and err.startswith("size guard: decomposition would take")
+    assert not out_base.with_suffix(".edges").exists()
 
 
 def test_generate_into_missing_directory_is_an_input_error(tmp_path, capsys):

@@ -330,9 +330,9 @@ def sign_vector_less(a, b) -> bool:
 
 
 def subset_less(a, b) -> bool:
-    """Strict order on index sets, the reference for
-    ``shelling._subset_key``: larger cardinality is smaller; on a tie
-    compare the indicator-vector difference, left to right."""
+    """Strict order on index sets, whose reverse is the order in which
+    ``cw_shelling`` emits its families: larger cardinality is smaller; on
+    a tie compare the indicator-vector difference, left to right."""
     sa, sb = frozenset(a), frozenset(b)
     if len(sa) != len(sb):
         return len(sb) < len(sa)
@@ -398,8 +398,9 @@ def test_shelling_sort_keys_follow_the_orders():
         assert sorted(vectors, key=shelling._sign_vector_key) == _comparator_order(
             vectors, sign_vector_less
         )
-    subsets = [c for r in range(8) for c in itertools.combinations(range(1, 8), r)]
-    assert sorted(subsets, key=shelling._subset_key) == _comparator_order(subsets, subset_less)
+    # the families come in the order _all_subsets enumerates them
+    subsets = shelling._all_subsets(7)
+    assert subsets == _comparator_order(subsets, subset_less)[::-1]
 
 
 def test_cw_shelling_g5():

@@ -16,9 +16,9 @@ from cwgraphs import (
     random_cw,
 )
 from cwgraphs.complexes import _adjacency_masks
-from cwgraphs.graph import sorted_labels, two_coloring
+from cwgraphs.graph import sorted_labels
+from cwgraphs.structure import _two_coloring
 from cwgraphs.errors import (
-    Disconnected,
     EmptyGraph,
     LoopEdge,
     ParseError,
@@ -136,29 +136,18 @@ def test_connected_components():
 
 def test_bipartition_single_edge():
     g = from_edge_list([("a", "b")])
-    bip = two_coloring(g, g.vertices)
-    assert bip.left == ("a",) and bip.right == ("b",)
+    assert _two_coloring(g, list(g.vertices)) == (("a",), ("b",))
 
 
 def test_bipartition_triangle_none():
     tri = from_edge_list([("a", "b"), ("b", "c"), ("a", "c")])
-    assert two_coloring(tri, tri.vertices) is None
+    assert _two_coloring(tri, list(tri.vertices)) is None
 
 
 def test_bipartition_path():
     g = from_edge_list([("v1", "x1"), ("x1", "y1"), ("y1", "x2"), ("x2", "v2")])
-    bip = two_coloring(g, g.vertices)
-    assert set(bip.left) == {"v1", "y1", "v2"}
-    assert set(bip.right) == {"x1", "x2"}
-
-
-def test_bipartition_requires_connected():
-    g = from_edge_list([("a", "b"), ("c", "d")])
-    with pytest.raises(Disconnected):
-        two_coloring(g, g.vertices)
-    # the empty graph has no side to start from
-    with pytest.raises(Disconnected, match="empty graph"):
-        two_coloring(Graph([]), ())
+    # each side keeps the order of the vertices passed in
+    assert _two_coloring(g, list(g.vertices)) == (("v1", "v2", "y1"), ("x1", "x2"))
 
 
 def test_bipartition_is_proper_coloring():
@@ -167,16 +156,18 @@ def test_bipartition_is_proper_coloring():
         g = random_graph(rng, 7, 0.3)
         if not g.is_connected():
             continue
-        bip = two_coloring(g, g.vertices)
-        if bip is None:
+        sides = _two_coloring(g, list(g.vertices))
+        if sides is None:
             # None must mean an odd cycle: no 2-coloring at all works
             verts = g.vertices
             for code in range(1 << len(verts)):
                 left = {verts[i] for i in range(len(verts)) if code & (1 << i)}
                 if all((u in left) != (v in left) for u, v in g.edges):
-                    raise AssertionError("two_coloring missed a valid 2-coloring")
+                    raise AssertionError("_two_coloring missed a valid 2-coloring")
         else:
-            left = set(bip.left)
+            left = set(sides[0])
+            assert sides[0] == tuple(v for v in g.vertices if v in left)
+            assert sides[1] == tuple(v for v in g.vertices if v not in left)
             for u, v in g.edges:
                 assert (u in left) != (v in left)
 

@@ -4,7 +4,6 @@ import pytest
 
 from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, complete_graph
 from cwgraphs import (
-    OracleBudget,
     SimplicialComplex,
     enumerate_labeled_graphs,
     from_edge_list,
@@ -26,10 +25,9 @@ def test_oracle_matchings_examples():
 
 
 def test_oracle_matchings_budget():
-    big = complete_graph(7)  # 21 edges
-    with pytest.raises(BudgetExceeded):
-        oracle_matchings(big, OracleBudget(max_edges=20))
-    assert oracle_matchings(big, OracleBudget(max_edges=21)) == (3, 1)
+    with pytest.raises(BudgetExceeded, match="edge budget is 20, graph has 21"):
+        oracle_matchings(complete_graph(7))
+    assert oracle_matchings(complete_graph(6)) == (3, 1)  # 15 edges
 
 
 def test_oracle_max_independent_sets_budget():
@@ -68,17 +66,16 @@ def test_oracle_shelling():
     ok, order = oracle_shelling_exists(independence_complex(c4))
     assert not ok and order is None
     assert oracle_shelling_exists(SimplicialComplex([{"a"}]))[0]
-    with pytest.raises(BudgetExceeded):
-        oracle_shelling_exists(
-            independence_complex(g5), OracleBudget(max_facets=3)
-        )
+    # K_13 has 13 one-vertex facets, one past the budget
+    with pytest.raises(BudgetExceeded, match="facet budget is 12, complex has 13"):
+        oracle_shelling_exists(independence_complex(complete_graph(13)))
 
 
 def test_enumerate_labeled_graphs():
     assert sum(1 for _ in enumerate_labeled_graphs(2)) == 2
     assert sum(1 for _ in enumerate_labeled_graphs(3)) == 8
     assert sum(1 for _ in enumerate_labeled_graphs(5)) == 1024
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="capped at 6 vertices"):
         next(enumerate_labeled_graphs(7))
     # deterministic order, distinct graphs
     first = [g.edges for g in enumerate_labeled_graphs(3)]

@@ -16,11 +16,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st  # noqa: E402
 
 from cwgraphs import (  # noqa: E402
+    CWDecomposition,
     Graph,
     SimplicialComplex,
     build_cw,
     OracleBudget,
     classify,
+    decompose,
     full_report,
     independence_complex,
     induced_matching_number,
@@ -38,11 +40,10 @@ from cwgraphs import (  # noqa: E402
 )
 from cwgraphs.complexes import COMPLEX_VERTEX_CAP  # noqa: E402
 from cwgraphs.errors import LoopEdge, UnknownVertex  # noqa: E402
+from cwgraphs.graph import sorted_labels  # noqa: E402
+from cwgraphs.oracle import ORACLE_EDGE_CAP as MAX_EDGES, ORACLE_FACET_CAP as MAX_FACETS  # noqa: E402
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
 from corpus import star_triangle  # noqa: E402
-
-MAX_EDGES = 20  # the oracle's default edge budget
-MAX_FACETS = 12  # the oracle's default facet budget
 
 
 # Labels with digit runs, leading zeros that tie numerically (x01, x1),
@@ -337,3 +338,38 @@ def test_report_counts_and_triangle_pairs(g):
         assert all(any(p is e for e in g.edges) for p in pairs)
         keys = [(label_key(a), label_key(b)) for a, b in pairs]
         assert all(a < b for a, b in keys) and keys == sorted(keys)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_decompose_of_a_relabelled_graph_matches_the_sorted_reading(data):
+    # decompose takes its sides and leaf lists in the order of g.vertices
+    # and splits the right side stably; the reference sorts them here
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    max_f, max_t = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    assume(n > 1 or max_t > 0)
+    dec = random_cw(n, m, max_f, max_t, data.draw(st.floats(0, 1)), data.draw(st.integers(0, 2**16)))
+    g = build_cw(dec)
+    nv = g.vertex_count
+    labels = data.draw(st.lists(LABELS, min_size=nv, max_size=nv, unique=True))
+    name = dict(zip(g.vertices, labels))
+    h = Graph(labels, [(name[u], name[v]) for u, v in g.edges])
+    event(f"label order moved: {tuple(name[v] for v in g.vertices) != h.vertices}")
+
+    left = sorted_labels(name[x] for x in dec.left)
+    bearing = {name[y] for y in dec.right if dec.triangle_map[y]}
+    right = tuple(
+        sorted((name[y] for y in dec.right), key=lambda y: (y not in bearing, label_key(y)))
+    )
+    leaf_map = {name[x]: sorted_labels(name[z] for z in dec.leaf_map[x]) for x in dec.left}
+    triangle_map = {
+        name[y]: tuple(
+            sorted(
+                (sorted_labels((name[a], name[b])) for a, b in dec.triangle_map[y]),
+                key=lambda pair: tuple(map(label_key, pair)),
+            )
+        )
+        for y in dec.right
+    }
+    expected = CWDecomposition(h.induced_subgraph(left + right), left, right, leaf_map, triangle_map)
+    assert decompose(h) == expected

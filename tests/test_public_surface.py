@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name the package exported when all of its modules were imported
 # eagerly; the lazily resolved ones must still work the same way.
 EXPORTS = """
-    BipartitePartition CWDecomposition Classification CliqueAttachmentSpec CliquePartition
+    CWDecomposition Classification CliqueAttachmentSpec CliquePartition
     FacetProvenance Graph InvariantReport MatchingStats OracleBudget ShellingOrder
     SimplicialComplex attach_cliques build_cw certify_cw classify cm_type_cw
     cw_cover_cardinalities cw_shelling cw_witness_covers decompose decomposition_from_json
@@ -68,10 +68,16 @@ def test_lazy_names_and_unknown_names():
 
 
 def test_api_that_nothing_reaches_is_gone():
-    # the sort-key comparators and the link/deletion references live in the tests
-    for name in ("sign_vector_less", "subset_less"):
+    # the sort-key comparators and the link/deletion references live in the
+    # tests; recognition keeps its two-colouring private, and the shelling
+    # emits its families in enumeration order without a sort key
+    for name in ("sign_vector_less", "subset_less", "BipartitePartition", "Disconnected"):
         with pytest.raises(ImportError):
             exec(f"from cwgraphs import {name}", {})
+    assert not hasattr(cwgraphs.errors, "Disconnected")
+    assert not hasattr(cwgraphs.graph, "two_coloring")
+    assert not hasattr(cwgraphs.graph, "BipartitePartition")
+    assert not hasattr(cwgraphs.shelling, "_subset_key")
     for name in ("link", "delete", "facet_support", "to_json"):
         assert not hasattr(cwgraphs.SimplicialComplex, name)
     with pytest.raises(TypeError):
@@ -132,6 +138,10 @@ def test_size_limits_are_constants_except_where_max_vertices_reaches():
         "MATCHING_VERTEX_CAP": "matchings.py",
         "INDUCED_EDGE_CAP": "matchings.py",
         "SHELLING_FACET_CAP": "shelling.py",
+        "GENERATOR_WORK_CAP": "constructions.py",
+        "ORACLE_EDGE_CAP": "oracle.py",
+        "ORACLE_FACET_CAP": "oracle.py",
+        "ENUMERATION_VERTEX_CAP": "oracle.py",
         "PLUS": "shelling.py",
         "MINUS": "shelling.py",
     }

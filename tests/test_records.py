@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from cwgraphs import (
-    BipartitePartition,
     Classification,
     CliqueAttachmentSpec,
     CliquePartition,
@@ -36,7 +35,6 @@ K22 = Graph(XY, [(x, y) for x in XY[:2] for y in XY[2:]])
 # record class -> (positional field values, a different value for the
 # first field); both must be valid, since some records check themselves
 FROZEN = {
-    BipartitePartition: ((("a",), ("b",)), ("c",)),
     MatchingStats: ((2, 1, (("a", "b"), ("c", "d")), (("a", "b"),)), 3),
     CWDecomposition: (
         (PATH, XY[:2], XY[2:], {"x1": ("z1_1",), "x2": ("z2_1",)}, {"y1": (), "y2": ()}),
@@ -47,7 +45,7 @@ FROZEN = {
     CliquePartition: ((EDGE, (frozenset({"x1"}), frozenset({"y1"}))), Graph(("x1", "y1"))),
     FacetProvenance: (("F", (1, 2), ("+", "-")), "G"),
     ShellingOrder: (((frozenset({"a"}),), (FacetProvenance("F", (), ()),)), ()),
-    OracleBudget: ((16, 20, 12), 17),
+    OracleBudget: ((16,), 17),
 }
 UNHASHABLE = {CWDecomposition, CliqueAttachmentSpec}
 RECORDS = [*FROZEN, InvariantReport]
@@ -89,8 +87,7 @@ def test_record_defaults():
     assert Classification("Star") == Classification("Star", None, None)
     with pytest.raises(TypeError):
         hash(Classification("CameronWalker", DEC))  # the decomposition holds maps
-    assert OracleBudget() == OracleBudget(16, 20, 12)
-    assert OracleBudget(max_edges=21).max_edges == 21
+    assert OracleBudget() == OracleBudget(16)
     # a certificate needs both maps, and empty ones never validate
     with pytest.raises(TypeError):
         CWDecomposition(EDGE, ("x1",), ("y1",))

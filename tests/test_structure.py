@@ -30,8 +30,9 @@ from cwgraphs.errors import (
     NotAPartition,
     NotCameronWalker,
     ParseError,
+    SizeGuard,
 )
-from cwgraphs import structure
+from cwgraphs import constructions, structure
 from cwgraphs.structure import (
     TAG_CAMERON_WALKER,
     TAG_OTHER,
@@ -363,6 +364,39 @@ def test_random_cw_invalid_params():
         random_cw(1, 2, 1, 0, 0.0, 0)
     with pytest.raises(InvalidParams):
         random_cw(1, 1, 1, 1, 1.5, 0)
+
+
+def test_generators_refuse_past_their_work_cap(monkeypatch):
+    # refused before any draw or label, so 10**12 returns at once
+    with pytest.raises(SizeGuard, match="cap is 60000"):
+        random_cw(1, 1, 10**12, 1, 0.0, 0)
+    with pytest.raises(SizeGuard, match="cap is 60000"):
+        random_cw(10**6, 10**6, 1, 1, 0.0, 0)
+    payload = {
+        "left": ["x1"],
+        "right": ["y1"],
+        "support_edges": [["x1", "y1"]],
+        "leaves": {"x1": 10**12},
+        "triangles": {"y1": 1},
+    }
+    with pytest.raises(SizeGuard, match="cap is 60000"):
+        decomposition_from_json(json.dumps(payload))
+    with pytest.raises(SizeGuard, match="cap is 60000"):
+        decomposition_from_json(json.dumps({**payload, "leaves": {"x1": 1}, "triangles": {"y1": 10**12}}))
+    # exactly at the cap a draw is accepted, and unchanged:
+    # n * m + n + m + n * max_f + 2 * m * max_t = 4 + 4 + 4 + 4
+    dec = random_cw(2, 2, 2, 1, 0.5, 9)
+    monkeypatch.setattr(constructions, "GENERATOR_WORK_CAP", 16)
+    assert random_cw(2, 2, 2, 1, 0.5, 9) == dec
+    with pytest.raises(SizeGuard, match="18 units of work"):
+        random_cw(2, 2, 3, 1, 0.5, 9)
+    # from JSON: support edges + n + m + f + 2t
+    work = dec.support.edge_count + dec.n + dec.m + dec.f + 2 * dec.t
+    monkeypatch.setattr(constructions, "GENERATOR_WORK_CAP", work)
+    assert decomposition_from_json(dec.to_json()) == dec
+    monkeypatch.setattr(constructions, "GENERATOR_WORK_CAP", work - 1)
+    with pytest.raises(SizeGuard, match=f"{work} units of work"):
+        decomposition_from_json(dec.to_json())
 
 
 def test_validate_rejects_bad_decompositions():

@@ -48,8 +48,6 @@ from .invariants import (
 from .matchings import (
     MatchingStats,
     induced_matching_number,
-    is_induced_matching,
-    is_matching,
     matching_number,
     matching_stats,
 )

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 
 from . import complexes, invariants, structure
 from .errors import (
-    BudgetExceeded,
     CWGraphError,
     EmptyGraph,
     InvalidParams,
@@ -315,7 +314,7 @@ def _run(argv) -> int:
     except (ParseError, LoopEdge, EmptyGraph, InvalidParams) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SizeGuard, BudgetExceeded) as exc:
+    except SizeGuard as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CWGraphError as exc:

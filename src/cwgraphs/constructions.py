@@ -31,36 +31,9 @@ def _refuse_past_work_cap(work: int) -> None:
         )
 
 
-def decomposition_from_json(text: str) -> CWDecomposition:
-    """Rebuild a decomposition from its JSON form.
-
-    The schema carries leaf/triangle counts only, so attachment vertices
-    get canonical names keyed by position (z{i}_{l}, w{j}_{k}+/-).  Each
-    count must be a JSON integer >= 0, not a fraction or a boolean.  The
-    support edges plus n + m + f + 2t must not pass ``GENERATOR_WORK_CAP``.
-    """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-
-    def count(kind: str, v: str) -> int:
-        k = payload[kind][v]
-        if type(k) is not int or k < 0:  # bool is a subclass of int
-            raise ValueError(f"{kind} count {k!r} at {v!r} is not an integer >= 0")
-        return k
-
-    try:
-        left = tuple(payload["left"])
-        right = tuple(payload["right"])
-        support = Graph(left + right, [tuple(e) for e in payload["support_edges"]])
-        leaves = [count("leaves", x) for x in left]
-        triangles = [count("triangles", y) for y in right]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed decomposition JSON: {exc}") from exc
-    _refuse_past_work_cap(
-        support.edge_count + len(left) + len(right) + sum(leaves) + 2 * sum(triangles)
-    )
+def _with_attachments(support: Graph, left, right, leaves, triangles) -> CWDecomposition:
+    """The decomposition with attachments named by position, z{i}_{l} and
+    w{j}_{k}+/-, for leaf and triangle counts given in side order."""
     leaf_map = {
         x: tuple(f"z{i}_{l}" for l in range(1, f + 1))
         for i, (x, f) in enumerate(zip(left, leaves), start=1)
@@ -70,6 +43,50 @@ def decomposition_from_json(text: str) -> CWDecomposition:
         for j, (y, t) in enumerate(zip(right, triangles), start=1)
     }
     return CWDecomposition(support, left, right, leaf_map, triangle_map)
+
+
+def decomposition_from_json(text: str) -> CWDecomposition:
+    """Rebuild a decomposition from its JSON form.
+
+    The schema carries leaf/triangle counts only, so attachment vertices
+    get canonical names keyed by position (z{i}_{l}, w{j}_{k}+/-).  Each
+    side must be a list of nonempty strings, each support edge a list of
+    two, each count a JSON integer >= 0 (not a fraction or a boolean), and
+    the support edges plus n + m + f + 2t must not pass GENERATOR_WORK_CAP.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+    def listed(key: str, what: str, ok) -> tuple:
+        items = payload[key]
+        if type(items) is not list or not all(map(ok, items)):
+            raise ValueError(f"{key} is not a list of {what}")
+        return tuple(items)
+
+    def is_label(v) -> bool:
+        return type(v) is str and v != ""
+
+    def count(kind: str, v: str) -> int:
+        k = payload[kind][v]
+        if type(k) is not int or k < 0:  # bool is a subclass of int
+            raise ValueError(f"{kind} count {k!r} at {v!r} is not an integer >= 0")
+        return k
+
+    try:
+        left = listed("left", "nonempty strings", is_label)
+        right = listed("right", "nonempty strings", is_label)
+        edges = listed("support_edges", "pairs", lambda e: type(e) is list and len(e) == 2)
+        support = Graph(left + right, edges)
+        leaves = [count("leaves", x) for x in left]
+        triangles = [count("triangles", y) for y in right]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed decomposition JSON: {exc}") from exc
+    _refuse_past_work_cap(
+        support.edge_count + len(left) + len(right) + sum(leaves) + 2 * sum(triangles)
+    )
+    return _with_attachments(support, left, right, leaves, triangles)
 
 
 class CliqueAttachmentSpec(FrozenRecord):
@@ -235,19 +252,5 @@ def random_cw(
 
     left = tuple(f"x{i + 1}" for i in range(n))
     right = tuple(f"y{pos + 1}" for pos in range(m))
-    support = Graph(
-        left + right,
-        [(f"x{i + 1}", f"y{rank[j] + 1}") for i, j in support_pairs],
-    )
-    leaf_map = {
-        f"x{i + 1}": tuple(f"z{i + 1}_{l + 1}" for l in range(f_counts[i]))
-        for i in range(n)
-    }
-    triangle_map = {
-        f"y{rank[j] + 1}": tuple(
-            (f"w{rank[j] + 1}_{k + 1}+", f"w{rank[j] + 1}_{k + 1}-")
-            for k in range(t_counts[j])
-        )
-        for j in range(m)
-    }
-    return CWDecomposition(support, left, right, leaf_map, triangle_map)
+    support = Graph(left + right, [(left[i], right[rank[j]]) for i, j in support_pairs])
+    return _with_attachments(support, left, right, f_counts, [t_counts[j] for j in right_order])

@@ -25,13 +25,10 @@ class UnknownVertex(CWGraphError):
     pass
 
 
-class NotAnEdge(CWGraphError):
-    pass
-
-
 class SizeGuard(CWGraphError):
-    """Input exceeds the fixed size cap of a search.  A cap bounds work;
-    it never changes a value that is computed."""
+    """Input exceeds the fixed size cap of a search or a budget of the
+    brute-force oracle.  A cap bounds work; it never changes a value that
+    is computed."""
 
 
 class NotCameronWalker(CWGraphError):
@@ -76,8 +73,4 @@ class NotCohenMacaulay(CWGraphError):
 
 
 class NotInFamily(CWGraphError):
-    pass
-
-
-class BudgetExceeded(CWGraphError):
     pass

@@ -45,10 +45,6 @@ def _vertex_order(labels: set) -> tuple[str, ...]:
         ) from None
 
 
-def canonical_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if label_key(u) <= label_key(v) else (v, u)
-
-
 class Graph:
     """Finite simple undirected graph; immutable after construction.
 

@@ -13,8 +13,8 @@ recursion limit.
 from __future__ import annotations
 
 from .complexes import _bits
-from .errors import LengthMismatch, NotAnEdge, SizeGuard
-from .graph import Graph, canonical_edge
+from .errors import LengthMismatch, SizeGuard
+from .graph import Graph
 from .records import FrozenRecord, set_field
 
 MATCHING_VERTEX_CAP = 64
@@ -33,38 +33,6 @@ class MatchingStats(FrozenRecord):
         set_field(self, "im", im)
         set_field(self, "witness_m", witness_m)
         set_field(self, "witness_im", witness_im)
-
-
-def _check_edges(g: Graph, edges) -> list[Edge]:
-    out = []
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise NotAnEdge(f"{(u, v)!r} is not an edge of the graph")
-        out.append(canonical_edge(u, v))
-    return out
-
-
-def _disjoint(es: list[Edge]) -> bool:
-    return len({v for e in es for v in e}) == 2 * len(es)
-
-
-def is_matching(g: Graph, edges) -> bool:
-    """True iff the edges are pairwise disjoint."""
-    return _disjoint(_check_edges(g, edges))
-
-
-def is_induced_matching(g: Graph, edges) -> bool:
-    """True iff a matching with no graph edge bridging two of its members."""
-    es = _check_edges(g, edges)
-    if not _disjoint(es):
-        return False
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            a, b = es[i]
-            c, d = es[j]
-            if any(g.has_edge(x, y) for x in (a, b) for y in (c, d)):
-                return False
-    return True
 
 
 def _max_edge_set(g: Graph, induced: bool) -> tuple[int, tuple[Edge, ...]]:

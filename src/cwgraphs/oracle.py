@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceeded
+from .errors import SizeGuard
 from .graph import Graph, label_key, sorted_labels
 from .records import FrozenRecord, set_field
 
@@ -42,7 +42,7 @@ def oracle_matchings(g: Graph) -> tuple[int, int]:
     edges = g.edges
     k = len(edges)
     if k > ORACLE_EDGE_CAP:
-        raise BudgetExceeded(f"oracle edge budget is {ORACLE_EDGE_CAP}, graph has {k}")
+        raise SizeGuard(f"oracle edge budget is {ORACLE_EDGE_CAP}, graph has {k}")
     if k == 0:
         return 0, 0
 
@@ -90,7 +90,7 @@ def oracle_max_independent_sets(
     """All maximal independent sets by sweeping every vertex subset."""
     n = g.vertex_count
     if n > budget.max_vertices:
-        raise BudgetExceeded(f"oracle vertex budget is {budget.max_vertices}, graph has {n}")
+        raise SizeGuard(f"oracle vertex budget is {budget.max_vertices}, graph has {n}")
     verts = g.vertices
     pos = {v: i for i, v in enumerate(verts)}
     nmask = [0] * n  # closed neighbourhoods as bitmasks
@@ -132,7 +132,7 @@ def oracle_shelling_exists(c):
     facets = list(c.facets)
     s = len(facets)
     if s > ORACLE_FACET_CAP:
-        raise BudgetExceeded(f"oracle facet budget is {ORACLE_FACET_CAP}, complex has {s}")
+        raise SizeGuard(f"oracle facet budget is {ORACLE_FACET_CAP}, complex has {s}")
     if s <= 1:
         return True, tuple(facets)
 
@@ -169,7 +169,7 @@ def oracle_shelling_exists(c):
 def enumerate_labeled_graphs(n: int):
     """All labelled graphs on vertices v1..vn, in deterministic order."""
     if n > ENUMERATION_VERTEX_CAP:
-        raise BudgetExceeded(f"labelled enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
+        raise SizeGuard(f"labelled enumeration is capped at {ENUMERATION_VERTEX_CAP} vertices")
     verts = [f"v{i}" for i in range(1, n + 1)]
     pairs = list(itertools.combinations(verts, 2))
     for code in range(1 << len(pairs)):

@@ -25,14 +25,14 @@ PLUS = "+"
 MINUS = "-"
 
 
-def _sign_vector_key(v) -> tuple:
-    """Sort key for equal-length +/- vectors: fewer plusses first; on a
-    tie the vector with '+' at the first differing entry first."""
-    return v.count(PLUS), [s != PLUS for s in v]
-
-
 def _sign_vectors_descending(length: int) -> list[tuple[str, ...]]:
-    return sorted(itertools.product((PLUS, MINUS), repeat=length), key=_sign_vector_key, reverse=True)
+    """Every +/- vector of the length, more plusses first; on a tie the
+    one with '-' at the first differing entry first."""
+    return [
+        tuple(PLUS if i in plus else MINUS for i in range(length))
+        for k in range(length, -1, -1)
+        for plus in reversed(list(itertools.combinations(range(length), k)))
+    ]
 
 
 class FacetProvenance(FrozenRecord):
@@ -102,7 +102,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     facets: list[frozenset[str]] = []
     provenance: list[FacetProvenance] = []
 
-    # one sort per vector length, not per family
+    # one list per vector length, not per family
     sign_vectors = functools.cache(_sign_vectors_descending)
     for idx in _all_subsets(m_prime):
         chosen = set(idx)

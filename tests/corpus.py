@@ -44,6 +44,22 @@ def random_graph(rng: random.Random, max_vertices: int, density: float) -> Graph
     return Graph(verts, edges)
 
 
+def is_matching(g: Graph, edges) -> bool:
+    """Reference matching check: every pair is an edge of g (so a
+    non-edge, a loop or an unknown vertex is rejected) and no two pairs
+    share a vertex."""
+    ends = [v for e in edges for v in e]
+    return all(g.has_edge(u, v) for u, v in edges) and len(set(ends)) == len(ends)
+
+
+def is_induced_matching(g: Graph, edges) -> bool:
+    """Reference induced-matching check: a matching with no edge of g
+    joining two of its members."""
+    return is_matching(g, edges) and not any(
+        g.has_edge(x, y) for e, f in itertools.combinations(edges, 2) for x in e for y in f
+    )
+
+
 def random_clique_partition(rng: random.Random, base: Graph):
     rest = list(base.vertices)
     rng.shuffle(rest)

@@ -321,9 +321,9 @@ def test_verify_shelling_matches_the_set_level_definition():
 
 
 def sign_vector_less(a, b) -> bool:
-    """Strict order on equal-length +/- vectors, the reference for
-    ``shelling._sign_vector_key``: fewer plusses first; on a tie the
-    vector with '+' at the first differing entry is smaller."""
+    """Strict order on equal-length +/- vectors, whose reverse is the
+    order of ``shelling._sign_vectors_descending``: fewer plusses first;
+    on a tie the vector with '+' at the first differing entry is smaller."""
     if a.count(PLUS) != b.count(PLUS):
         return a.count(PLUS) < b.count(PLUS)
     return next((x == PLUS for x, y in zip(a, b) if x != y), False)
@@ -393,11 +393,13 @@ def _comparator_order(items, less):
 
 
 def test_shelling_sort_keys_follow_the_orders():
+    # every sign vector, in the descending order _sign_vectors_descending
+    # emits them
     for length in range(8):
         vectors = list(itertools.product((PLUS, MINUS), repeat=length))
-        assert sorted(vectors, key=shelling._sign_vector_key) == _comparator_order(
+        assert shelling._sign_vectors_descending(length) == _comparator_order(
             vectors, sign_vector_less
-        )
+        )[::-1]
     # the families come in the order _all_subsets enumerates them
     subsets = shelling._all_subsets(7)
     assert subsets == _comparator_order(subsets, subset_less)[::-1]

@@ -4,6 +4,7 @@ import pytest
 
 from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, complete_graph
 from cwgraphs import (
+    OracleBudget,
     SimplicialComplex,
     enumerate_labeled_graphs,
     from_edge_list,
@@ -15,7 +16,7 @@ from cwgraphs import (
     build_cw,
     g_prime,
 )
-from cwgraphs.errors import BudgetExceeded
+from cwgraphs.errors import SizeGuard
 
 
 def test_oracle_matchings_examples():
@@ -25,14 +26,16 @@ def test_oracle_matchings_examples():
 
 
 def test_oracle_matchings_budget():
-    with pytest.raises(BudgetExceeded, match="edge budget is 20, graph has 21"):
+    with pytest.raises(SizeGuard, match="^oracle edge budget is 20, graph has 21$"):
         oracle_matchings(complete_graph(7))
     assert oracle_matchings(complete_graph(6)) == (3, 1)  # 15 edges
 
 
 def test_oracle_max_independent_sets_budget():
-    with pytest.raises(BudgetExceeded, match="vertex budget is 16, graph has 17"):
+    with pytest.raises(SizeGuard, match="^oracle vertex budget is 16, graph has 17$"):
         oracle_max_independent_sets(complete_graph(17))
+    with pytest.raises(SizeGuard, match="^oracle vertex budget is 14, graph has 15$"):
+        oracle_max_independent_sets(complete_graph(15), OracleBudget(max_vertices=14))
 
 
 def test_oracle_max_independent_sets():
@@ -67,7 +70,7 @@ def test_oracle_shelling():
     assert not ok and order is None
     assert oracle_shelling_exists(SimplicialComplex([{"a"}]))[0]
     # K_13 has 13 one-vertex facets, one past the budget
-    with pytest.raises(BudgetExceeded, match="facet budget is 12, complex has 13"):
+    with pytest.raises(SizeGuard, match="^oracle facet budget is 12, complex has 13$"):
         oracle_shelling_exists(independence_complex(complete_graph(13)))
 
 
@@ -75,7 +78,7 @@ def test_enumerate_labeled_graphs():
     assert sum(1 for _ in enumerate_labeled_graphs(2)) == 2
     assert sum(1 for _ in enumerate_labeled_graphs(3)) == 8
     assert sum(1 for _ in enumerate_labeled_graphs(5)) == 1024
-    with pytest.raises(BudgetExceeded, match="capped at 6 vertices"):
+    with pytest.raises(SizeGuard, match="^labelled enumeration is capped at 6 vertices$"):
         next(enumerate_labeled_graphs(7))
     # deterministic order, distinct graphs
     first = [g.edges for g in enumerate_labeled_graphs(3)]

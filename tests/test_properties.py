@@ -27,8 +27,6 @@ from cwgraphs import (  # noqa: E402
     independence_complex,
     induced_matching_number,
     is_cm_cw,
-    is_induced_matching,
-    is_matching,
     is_vertex_decomposable,
     is_vertex_decomposable_graph,
     label_key,
@@ -43,7 +41,7 @@ from cwgraphs.errors import LoopEdge, UnknownVertex  # noqa: E402
 from cwgraphs.graph import sorted_labels  # noqa: E402
 from cwgraphs.oracle import ORACLE_EDGE_CAP as MAX_EDGES, ORACLE_FACET_CAP as MAX_FACETS  # noqa: E402
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
-from corpus import star_triangle  # noqa: E402
+from corpus import is_induced_matching, is_matching, star_triangle  # noqa: E402
 
 
 # Labels with digit runs, leading zeros that tie numerically (x01, x1),

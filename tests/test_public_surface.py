@@ -22,7 +22,7 @@ EXPORTS = """
     cw_cover_cardinalities cw_shelling cw_witness_covers decompose decomposition_from_json
     enumerate_labeled_graphs from_edge_list full_report g_prime independence_complex
     independence_domination_number induced_matching_number is_cm_cw is_gorenstein_cw
-    is_induced_matching is_matching is_unmixed is_vertex_decomposable
+    is_unmixed is_vertex_decomposable
     is_vertex_decomposable_graph label_key matching_number matching_stats
     minimal_vertex_covers oracle_matchings oracle_max_independent_sets
     oracle_shelling_exists parse_edge_list parse_graph_json projective_dimension_cw
@@ -68,16 +68,29 @@ def test_lazy_names_and_unknown_names():
 
 
 def test_api_that_nothing_reaches_is_gone():
-    # the sort-key comparators and the link/deletion references live in the
-    # tests; recognition keeps its two-colouring private, and the shelling
-    # emits its families in enumeration order without a sort key
-    for name in ("sign_vector_less", "subset_less", "BipartitePartition", "Disconnected"):
+    # the sort-key comparators, the link/deletion references and the
+    # matching checkers live in the tests; recognition keeps its
+    # two-colouring private, the shelling emits its families and sign
+    # vectors in enumeration order without a sort key, and the oracle's
+    # budgets raise SizeGuard like every other limit
+    for name in (
+        "sign_vector_less",
+        "subset_less",
+        "BipartitePartition",
+        "Disconnected",
+        "is_matching",
+        "is_induced_matching",
+    ):
         with pytest.raises(ImportError):
             exec(f"from cwgraphs import {name}", {})
-    assert not hasattr(cwgraphs.errors, "Disconnected")
-    assert not hasattr(cwgraphs.graph, "two_coloring")
-    assert not hasattr(cwgraphs.graph, "BipartitePartition")
-    assert not hasattr(cwgraphs.shelling, "_subset_key")
+    for name in ("Disconnected", "NotAnEdge", "BudgetExceeded"):
+        assert not hasattr(cwgraphs.errors, name)
+    for name in ("is_matching", "is_induced_matching", "_check_edges", "_disjoint"):
+        assert not hasattr(cwgraphs.matchings, name)
+    for name in ("two_coloring", "BipartitePartition", "canonical_edge"):
+        assert not hasattr(cwgraphs.graph, name)
+    for name in ("_subset_key", "_sign_vector_key"):
+        assert not hasattr(cwgraphs.shelling, name)
     for name in ("link", "delete", "facet_support", "to_json"):
         assert not hasattr(cwgraphs.SimplicialComplex, name)
     with pytest.raises(TypeError):

@@ -246,6 +246,17 @@ def test_decomposition_json_round_trip():
         malformed = {**repeated, "left": ["x1"], kind: {side: bad}}
         with pytest.raises(ParseError, match="malformed decomposition JSON"):
             decomposition_from_json(json.dumps(malformed))
+    # Sides are lists of nonempty strings and support edges lists of two:
+    # a string side used to read as its characters, a string edge as its
+    # two characters, and "" as a vertex label.
+    shapes = {"right": ["y"], "support_edges": [["a", "y"], ["b", "y"]], "triangles": {"y": 1}}
+    for malformed in [
+        {**shapes, "left": "ab", "leaves": {"a": 1, "b": 1}},
+        {**shapes, "left": ["x"], "support_edges": ["xy"], "leaves": {"x": 1}},
+        {**shapes, "left": [""], "support_edges": [["", "y"]], "leaves": {"": 1}},
+    ]:
+        with pytest.raises(ParseError, match="malformed decomposition JSON"):
+            decomposition_from_json(json.dumps(malformed))
 
 
 def test_classification_soundness_on_family():

@@ -56,10 +56,21 @@ class Graph:
     __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        # label_key runs once per vertex: each vertex gets its rank in
-        # label order, and edges are canonicalised, deduplicated and
-        # sorted as rank pairs packed into one integer, low * n + high.
-        verts = _vertex_order(set(vertices))
+        # label_key runs once per vertex.
+        self._build(_vertex_order(set(vertices)), edges)
+
+    @classmethod
+    def _in_label_order(cls, verts: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> "Graph":
+        """The graph on ``verts``, which the caller names distinct and
+        already in label order, so no label is sorted."""
+        g = cls.__new__(cls)
+        g._build(verts, edges)
+        return g
+
+    def _build(self, verts: tuple[str, ...], edges: Iterable[tuple[str, str]]) -> None:
+        # Each vertex gets its rank in label order, and edges are
+        # canonicalised, deduplicated and sorted as rank pairs packed into
+        # one integer, low * n + high.
         rank = {v: i for i, v in enumerate(verts)}
         n = len(verts)
         es = set()

@@ -167,6 +167,15 @@ class CWDecomposition(FrozenRecord):
 
 
 class Classification(FrozenRecord):
+    """The tag of a graph, with its decomposition when Cameron-Walker and
+    the reason when Other.
+
+    Only a Cameron-Walker result is built per call: ``classify`` returns
+    the four fixed outcomes (star, star triangle, disconnected, im != m)
+    as shared module-level records, which are immutable like every
+    frozen record and equal to a freshly built one.
+    """
+
     __slots__ = ("tag", "decomposition", "reason")
 
     def __init__(
@@ -189,19 +198,25 @@ class Classification(FrozenRecord):
         return json.dumps(self.to_dict())
 
 
+_STAR = Classification(TAG_STAR)
+_STAR_TRIANGLE = Classification(TAG_STAR_TRIANGLE)
+_DISCONNECTED = Classification(TAG_OTHER, reason="disconnected")
+_IM_BELOW_M = Classification(TAG_OTHER, reason="im!=m")
+
+
 def _is_star(g: Graph) -> bool:
-    # K_{1,k} for k >= 0 on a connected graph: at most two vertices, or a
-    # tree with a vertex adjacent to all the others.
+    # K_{1,k} for k >= 0: at most one vertex, or a tree with a vertex
+    # adjacent to all the others (which makes the graph connected).
     nv = g.vertex_count
-    return nv <= 2 or (
+    return nv <= 1 or (
         g.edge_count == nv - 1 and any(g.degree(v) == nv - 1 for v in g.vertices)
     )
 
 
 def _is_star_triangle(g: Graph) -> bool:
     # t >= 1 triangles glued at one common vertex and nothing else: a
-    # vertex of degree |V| - 1 whose other vertices all have degree 2
-    # (each vertex of K_3 is such a centre).
+    # vertex of degree |V| - 1 (so the graph is connected) whose other
+    # vertices all have degree 2 (each vertex of K_3 is such a centre).
     nv = g.vertex_count
     if nv < 3 or nv % 2 == 0 or g.edge_count != 3 * (nv - 1) // 2:
         return False
@@ -209,15 +224,15 @@ def _is_star_triangle(g: Graph) -> bool:
     return nv - 1 in degrees and degrees.count(2) >= nv - 1
 
 
-def _attachments(g: Graph):
-    """Leaves, pendant-triangle pairs and the remaining support vertices."""
-    leaves = g.leaves()
+def _attachments(g: Graph, leaves: tuple[str, ...]):
+    """Pendant-triangle pairs and the support vertices left after
+    stripping them and g's ``leaves``."""
     triangles = g.pendant_triangles()
     stripped = set(leaves)
     for _, a, b in triangles:
         stripped.update((a, b))
     support_vertices = [v for v in g.vertices if v not in stripped]
-    return leaves, triangles, support_vertices
+    return triangles, support_vertices
 
 
 def _two_coloring(g: Graph, vertices: list[str]):
@@ -243,9 +258,10 @@ def _two_coloring(g: Graph, vertices: list[str]):
     return left, right
 
 
-def _try_decompose(g: Graph):
-    """Attempt the structural reading; returns (decomposition, reason)."""
-    leaves, triangles, support_vertices = _attachments(g)
+def _try_decompose(g: Graph, leaves: tuple[str, ...]):
+    """Attempt the structural reading of a connected g with these leaves;
+    returns (decomposition, reason)."""
+    triangles, support_vertices = _attachments(g, leaves)
     if len(support_vertices) < 2:
         return None, "support has fewer than two vertices after stripping"
     sides = _two_coloring(g, support_vertices)
@@ -333,16 +349,25 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
 
 def _recognize(g: Graph) -> tuple[Classification, str | None]:
     """The classification, plus why the graph is not Cameron-Walker (None
-    when it is).  A successful structural reading is certified."""
-    if not g.is_connected():
-        return Classification(TAG_OTHER, reason="disconnected"), "graph is disconnected"
+    when it is).  A successful structural reading is certified.
+
+    Stars and star triangles have a vertex of degree |V| - 1, so they are
+    tested before connectivity.  A Cameron-Walker graph has a leaf on
+    each of its n >= 1 left vertices, so a connected leafless graph is
+    rejected before the attachment scan.
+    """
     if _is_star(g):
-        return Classification(TAG_STAR), "graph is a star"
+        return _STAR, "graph is a star"
     if _is_star_triangle(g):
-        return Classification(TAG_STAR_TRIANGLE), "graph is a star triangle"
-    dec, reason = _try_decompose(g)
+        return _STAR_TRIANGLE, "graph is a star triangle"
+    if not g.is_connected():
+        return _DISCONNECTED, "graph is disconnected"
+    leaves = g.leaves()
+    if not leaves:
+        return _IM_BELOW_M, "graph has no leaf, but every left vertex needs one"
+    dec, reason = _try_decompose(g, leaves)
     if dec is None:
-        return Classification(TAG_OTHER, reason="im!=m"), reason
+        return _IM_BELOW_M, reason
     certify_cw(g, dec)
     return Classification(TAG_CAMERON_WALKER, decomposition=dec), None
 
@@ -369,10 +394,14 @@ def build_cw(dec: CWDecomposition) -> Graph:
     """Emit the graph of a decomposition with canonical labels.
 
     Left vertices become x1..xn, right vertices y1..ym, leaves z{i}_{l}
-    and pendant-triangle pairs w{j}_{k}+ / w{j}_{k}-.
+    and pendant-triangle pairs w{j}_{k}+ / w{j}_{k}-.  These labels are
+    named in label order (every w by j, k and + before -, then x, y and
+    z by their indices), so the graph is built without sorting them.
     """
     cmap = dec.canonical_map()
-    vertices = list(cmap.values())
+    w = [cmap[a] for y in dec.right for pair in dec.triangle_map[y] for a in pair]
+    zs = [cmap[z] for x in dec.left for z in dec.leaf_map[x]]
+    vertices = (*w, *(cmap[x] for x in dec.left), *(cmap[y] for y in dec.right), *zs)
     edges = [(cmap[u], cmap[v]) for u, v in dec.support.edges]
     for x in dec.left:
         for z in dec.leaf_map[x]:
@@ -382,7 +411,7 @@ def build_cw(dec: CWDecomposition) -> Graph:
             edges.append((cmap[y], cmap[a]))
             edges.append((cmap[y], cmap[b]))
             edges.append((cmap[a], cmap[b]))
-    return Graph(vertices, edges)
+    return Graph._in_label_order(vertices, edges)
 
 
 def random_cw(

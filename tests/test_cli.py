@@ -92,8 +92,10 @@ def test_shelling_refusal(capsys):
 
 
 def test_shelling_refusal_non_cw(capsys):
-    code, _, err = run(capsys, "shelling", str(DATA / "k4.edges"))
+    code, out, err = run(capsys, "shelling", str(DATA / "k4.edges"))
     assert code == 3
+    assert out == ""
+    assert err == "refused: graph has no leaf, but every left vertex needs one\n"
 
 
 def test_generate_deterministic(tmp_path, capsys):

@@ -1,13 +1,24 @@
 """Classification, decomposition, constructions, and the generator."""
 
 import gc
+import hashlib
 import itertools
 import json
+import pickle
 import tracemalloc
 
 import pytest
 
-from corpus import G5_EDGES, P5_EDGES, STAR7_EDGES, cw_corpus, star_triangle
+from corpus import (
+    G5_EDGES,
+    P5_EDGES,
+    STAR7_EDGES,
+    complete_bipartite,
+    complete_graph,
+    cw_corpus,
+    petersen,
+    star_triangle,
+)
 from cwgraphs import (
     CliqueAttachmentSpec,
     CliquePartition,
@@ -38,6 +49,7 @@ from cwgraphs.structure import (
     TAG_OTHER,
     TAG_STAR,
     TAG_STAR_TRIANGLE,
+    Classification,
     certify_cw,
 )
 
@@ -163,6 +175,79 @@ def test_decompose_rejects():
         decompose(from_edge_list([("a", "b"), ("b", "c"), ("c", "d")]))  # P4
 
 
+# One graph per way recognition can refuse, with the reason it gives.
+REFUSALS = [
+    (Graph("abcd", [("a", "b"), ("c", "d")]), "graph is disconnected"),
+    (from_edge_list([("c", "a"), ("c", "b"), ("c", "d")]), "graph is a star"),
+    (from_edge_list(STAR7_EDGES), "graph is a star triangle"),
+    (complete_graph(4), "graph has no leaf, but every left vertex needs one"),
+    # a leaf and a pendant triangle at one vertex: nothing else is left
+    (
+        from_edge_list([("c", "z"), ("c", "a"), ("c", "b"), ("a", "b")]),
+        "support has fewer than two vertices after stripping",
+    ),
+    # a triangle with a leaf on each corner
+    (
+        from_edge_list([("a", "b"), ("b", "c"), ("a", "c"), ("a", "p"), ("b", "q"), ("c", "r")]),
+        "support is not bipartite",
+    ),
+    # P4: each support vertex has a leaf, so neither side can be the right one
+    (
+        from_edge_list(P5_EDGES[:3]),
+        "no side has a leaf on every vertex with triangles on the other",
+    ),
+]
+
+
+def test_each_refusal_gives_its_own_reason():
+    assert len({reason for _, reason in REFUSALS}) == len(REFUSALS)
+    for g, reason in REFUSALS:
+        with pytest.raises(NotCameronWalker) as info:
+            decompose(g)
+        assert str(info.value) == reason
+
+
+def _recognition_inputs():
+    """Every labelled graph on 1-6 vertices, then fixed families and the
+    Cameron-Walker corpus, in a fixed order."""
+    for n in range(1, 7):
+        yield from enumerate_labeled_graphs(n)
+    yield Graph([])
+    yield Graph(["a"])
+    yield Graph(["a", "b"], [("a", "b")])
+    yield Graph(["a", "b"])
+    for k in range(4, 19):
+        verts = [f"c{i}" for i in range(k)]
+        yield Graph(verts, [(verts[i], verts[(i + 1) % k]) for i in range(k)])
+    for k in range(4, 9):
+        yield complete_graph(k)
+    for a in range(2, 5):
+        for b in range(a, a + 3):
+            yield complete_bipartite(a, b)
+    yield petersen()
+    for k in range(1, 17):
+        yield Graph(["s"] + [f"s{i}" for i in range(k)], [("s", f"s{i}") for i in range(k)])
+    for t in range(1, 9):
+        yield star_triangle(t)
+    for dec in cw_corpus():
+        yield build_cw(dec)
+
+
+def test_recognition_output_is_pinned():
+    # one sha256 over the classification JSON of 34,225 graphs, taken
+    # while connectivity was tested first and every connected graph that
+    # was neither a star nor a star triangle went through the attachment
+    # scan; the early rejections must not change a byte
+    digest = hashlib.sha256()
+    count = 0
+    for g in _recognition_inputs():
+        digest.update(classify(g).to_json().encode())
+        digest.update(b"\n")
+        count += 1
+    assert count == 34225
+    assert digest.hexdigest() == "fc0f49cfce926cea3281e8094217a155491a3df1dc76aa4aad42829db7cad2f7"
+
+
 def test_leaf_on_triangle_side_rejected():
     # chair: P4 plus an extra leaf; a stripped leaf ends up on both sides
     chair = from_edge_list(P5_EDGES[:3] + [("b", "q")])
@@ -180,6 +265,20 @@ def test_build_cw_g5():
         ("x1", "y1"),
         ("x1", "z1_1"),
     )
+
+
+def test_build_cw_names_its_labels_in_label_order():
+    # Graph sorts the labels itself; build_cw must already emit that order,
+    # also where it differs from string order (x9 < x10, w1_9+ < w1_10+)
+    decs = list(cw_corpus())
+    decs += [random_cw(11, 10, 12, 12, 0.3, seed) for seed in range(3)]
+    decs += [random_cw(1, 1, 1, 12, 0.0, 0)]
+    assert max(dec.n for dec in decs) >= 10 and max(dec.m for dec in decs) >= 10
+    assert max(t for dec in decs for t in dec.t_counts) >= 10
+    assert max(f for dec in decs for f in dec.f_counts) >= 10
+    for dec in decs:
+        g = build_cw(dec)
+        assert g == Graph(g.vertices, g.edges)
 
 
 def test_build_cw_eight_vertex():
@@ -454,3 +553,41 @@ def test_classify_result_stays_small():
         tracemalloc.stop()
     assert cls.tag == TAG_CAMERON_WALKER
     assert retained < 3072, f"one classify result retains {retained} bytes"
+
+
+def test_fixed_outcomes_are_shared():
+    # Stars, star triangles, disconnected and leafless graphs get one of
+    # four shared records, so storing their results costs no memory.
+    graphs = [
+        from_edge_list([("c", "a"), ("c", "b"), ("c", "d")]),
+        star_triangle(3),
+        Graph("abcd", [("a", "b"), ("c", "d")]),
+        petersen(),
+    ]
+    expected = [
+        Classification(TAG_STAR),
+        Classification(TAG_STAR_TRIANGLE),
+        Classification(TAG_OTHER, None, "disconnected"),
+        Classification(TAG_OTHER, reason="im!=m"),
+    ]
+    for g in graphs:
+        classify(g)  # builds g's own adjacency, which the input keeps
+    results = [None] * 1000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(len(results)):
+            results[i] = classify(graphs[i % 4])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024, f"1,000 fixed classify results retain {retained} bytes"
+    for i, cls in enumerate(results[:4]):
+        assert cls == expected[i] and cls.to_json() == expected[i].to_json()
+        assert pickle.loads(pickle.dumps(cls)) == expected[i]
+        with pytest.raises(AttributeError):
+            cls.tag = TAG_CAMERON_WALKER
+        with pytest.raises(AttributeError):
+            cls.reason = None

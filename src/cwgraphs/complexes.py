@@ -123,20 +123,26 @@ def _maximal_independent_sets(
     return False
 
 
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """The complex whose facets are the maximal independent sets of g."""
+def _maximal_independent_masks(g: Graph) -> list[int]:
+    """The maximal independent sets of g, each once, as masks over
+    ``g.vertices`` in the order the search finds them."""
     if g.vertex_count > COMPLEX_VERTEX_CAP:
         raise SizeGuard(
             f"independence-complex cap is {COMPLEX_VERTEX_CAP} vertices, graph has {g.vertex_count}"
         )
-    order = g.vertices
     adj, closed = _adjacency_masks(g)
     sets: list[int] = []
     # list.append returns None, so every maximal independent set is
-    # reported, each once: no subset filter is needed, only the order is
-    # restored.
-    _maximal_independent_sets(adj, closed, (1 << len(order)) - 1, lambda r, dom: sets.append(r))
-    facets = sorted((frozenset(order[i] for i in _bits(r)) for r in sets), key=_facet_key)
+    # reported, each once: no subset filter is needed.
+    _maximal_independent_sets(adj, closed, (1 << g.vertex_count) - 1, lambda r, dom: sets.append(r))
+    return sets
+
+
+def independence_complex(g: Graph) -> SimplicialComplex:
+    """The complex whose facets are the maximal independent sets of g."""
+    order = g.vertices
+    masks = _maximal_independent_masks(g)
+    facets = sorted((frozenset(order[i] for i in _bits(r)) for r in masks), key=_facet_key)
     return SimplicialComplex._from_maximal(tuple(facets), frozenset(order))
 
 

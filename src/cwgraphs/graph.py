@@ -182,7 +182,20 @@ class Graph:
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        """Whether one traversal from the first vertex reaches every
+        vertex; builds no component and sorts nothing.  True for the
+        empty graph, which has no components."""
+        if not self._vertices:
+            return True
+        adj = self._adjacency()
+        root = self._vertices[0]
+        reached = {root}
+        stack = [root]
+        while stack:
+            new = adj[stack.pop()] - reached
+            reached |= new
+            stack.extend(new)
+        return len(reached) == len(self._vertices)
 
     def leaves(self) -> tuple[str, ...]:
         """All vertices of degree 1."""

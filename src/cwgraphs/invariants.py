@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import json
 
-from .complexes import COMPLEX_VERTEX_CAP, independence_complex, is_vertex_decomposable_graph
+from .complexes import (
+    COMPLEX_VERTEX_CAP,
+    _maximal_independent_masks,
+    independence_complex,
+    is_vertex_decomposable_graph,
+)
 from .errors import (
     InvalidDecomposition,
     NotCameronWalker,
@@ -74,14 +79,14 @@ def cw_witness_covers(dec: CWDecomposition):
     cmap = dec.canonical_map()
     xs = {cmap[x] for x in dec.left}
     ys = {cmap[y] for y in dec.right}
-    zs = {cmap[z] for x in dec.left for z in dec.leaf_map[x]}
+    zs = {cmap[z] for ls in dec.leaves for z in ls}
     w_both = set()
     w_first = set()
-    for y in dec.right:
-        for a, b in dec.triangle_map[y]:
+    for pairs in dec.triangles:
+        for a, b in pairs:
             w_both.update((cmap[a], cmap[b]))
             w_first.add(cmap[a])
-    bearing = {cmap[y] for y in dec.right if dec.triangle_map[y]}
+    bearing = {cmap[y] for y, pairs in zip(dec.right, dec.triangles) if pairs}
     return (
         frozenset(xs | w_both),
         frozenset(ys | zs | w_first),
@@ -121,7 +126,7 @@ def g_prime(dec: CWDecomposition) -> Graph:
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("the derived subgraph needs a Cohen-Macaulay shape")
     cmap = dec.canonical_map()
-    plus = [(cmap[y], cmap[dec.triangle_map[y][0][0]]) for y in dec.right]
+    plus = [(cmap[y], cmap[pairs[0][0]]) for y, pairs in zip(dec.right, dec.triangles)]
     return Graph(
         [cmap[v] for v in dec.support.vertices] + [w for _, w in plus],
         [(cmap[u], cmap[v]) for u, v in dec.support.edges] + plus,
@@ -145,7 +150,7 @@ def cm_type_cw(dec: CWDecomposition) -> int:
         raise NotCohenMacaulay("Cohen-Macaulay type needs a Cohen-Macaulay graph")
     value = 2**dec.m
     if _counts_g_prime(dec):
-        count = len(independence_complex(g_prime(dec)).facets)
+        count = len(_maximal_independent_masks(g_prime(dec)))
         if count != value:
             raise InvalidDecomposition(
                 f"derived graph has {count} maximal independent sets, 2^m = {value}"

@@ -1,13 +1,14 @@
-"""Plain record classes: the fields are the names in ``__slots__``.
+"""Plain record classes: the fields are the names in ``_fields``, which
+is ``__slots__`` unless a record stores its fields in another form.
 
-Each record writes its own ``__init__``, taking the fields in
-``__slots__`` order as ordinary parameters with defaults, so nothing is
-generated at import.  It inherits field-wise ``==`` within one type, a
-``repr`` listing the fields, and pickling and copying by positional
-construction.  ``Record`` is mutable and unhashable.  ``FrozenRecord``
-refuses assignment and hashes the tuple of its field values, so a
-frozen record holding a mapping is unhashable like the mapping; its
-``__init__`` stores fields with ``set_field``, a mapping as a read-only
+Each record writes its own ``__init__``, taking its fields in order as
+ordinary parameters with defaults, so nothing is generated at import.
+It inherits field-wise ``==`` within one type, a ``repr`` listing the
+fields, and pickling and copying by positional construction.
+``Record`` is mutable and unhashable.  ``FrozenRecord`` refuses
+assignment and hashes the tuple of its field values, so a frozen record
+holding a mapping is unhashable like the mapping; its ``__init__``
+stores fields with ``set_field``, a mapping as a read-only
 ``MappingProxyType`` view, which pickles and copies as a plain dict.
 """
 
@@ -20,8 +21,13 @@ class Record:
     __slots__ = ()
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -29,7 +35,7 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

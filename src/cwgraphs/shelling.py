@@ -92,11 +92,11 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     if total > SHELLING_FACET_CAP:
         raise SizeGuard(f"shelling would have {total} facets, cap is {SHELLING_FACET_CAP}")
 
-    all_leaves = [z for x in dec.left for z in dec.leaf_map[x]]
+    all_leaves = [z for ls in dec.leaves for z in ls]
     bare_right = [dec.right[j] for j in range(m_prime, m)]
 
     def tri_vertex(i: int, k: int, sign: str) -> str:
-        pair = dec.triangle_map[dec.right[i - 1]][k]
+        pair = dec.triangles[i - 1][k]
         return pair[0] if sign == PLUS else pair[1]
 
     facets: list[frozenset[str]] = []
@@ -124,7 +124,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         base = {dec.left[j - 1] for j in chosen}
         for j in range(1, n + 1):
             if j not in chosen:
-                base.update(dec.leaf_map[dec.left[j - 1]])
+                base.update(dec.leaves[j - 1])
         for nu in sign_vectors(len(all_slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(all_slots, nu)}
             facets.append(frozenset(base | extra))

@@ -23,20 +23,36 @@ TAG_CAMERON_WALKER = "CameronWalker"
 TAG_OTHER = "Other"
 
 
-class CWDecomposition(FrozenRecord):
-    """Structural certificate: bipartite support plus attachment maps.
+def _aligned(mapping: Mapping, side: tuple[str, ...]):
+    """The values of ``mapping`` in the order of ``side``; None unless its
+    keys are exactly the labels of the side."""
+    if set(mapping) != set(side):
+        return None
+    return tuple(mapping[v] for v in side)
 
-    ``leaf_map[x]`` lists the leaves hanging off the left vertex x (at
-    least one each); ``triangle_map[y]`` lists the degree-2 vertex pairs
-    of the pendant triangles at the right vertex y.  Right vertices are
-    ordered so that the triangle-bearing ones come first.  The
-    constructor keeps both maps as read-only views of its own copies and
-    runs ``validate``, so every instance is a valid certificate and its
-    users need not check it again.  The views show dicts, so a
+
+class CWDecomposition(FrozenRecord):
+    """Structural certificate: bipartite support plus attachment lists.
+
+    ``leaves[i]`` lists the leaves hanging off the left vertex
+    ``left[i]`` (at least one each); ``triangles[j]`` lists the degree-2
+    vertex pairs of the pendant triangles at the right vertex
+    ``right[j]``.  Right vertices are ordered so that the
+    triangle-bearing ones come first.  The constructor takes these lists
+    as the maps ``leaf_map`` and ``triangle_map``, whose keys must be
+    exactly the left and the right vertices, stores them as tuples
+    aligned with the sides and runs ``validate``, so every instance is a
+    valid certificate and its users need not check it again.
+
+    The maps are the record's fields, which equality, ``repr`` and
+    pickling read: read-only views built on each access, so a caller
+    that looks up many keys keeps one view.  The views show dicts, so a
     decomposition is unhashable.
     """
 
-    __slots__ = ("support", "left", "right", "leaf_map", "triangle_map")
+    __slots__ = ("support", "left", "right", "leaves", "triangles")
+    _fields = ("support", "left", "right", "leaf_map", "triangle_map")
+    __hash__ = None
 
     def __init__(
         self,
@@ -49,9 +65,19 @@ class CWDecomposition(FrozenRecord):
         set_field(self, "support", support)
         set_field(self, "left", left)
         set_field(self, "right", right)
-        set_field(self, "leaf_map", MappingProxyType(dict(leaf_map)))
-        set_field(self, "triangle_map", MappingProxyType(dict(triangle_map)))
+        set_field(self, "leaves", _aligned(leaf_map, left))
+        set_field(self, "triangles", _aligned(triangle_map, right))
         self.validate()
+
+    @property
+    def leaf_map(self) -> Mapping[str, tuple[str, ...]]:
+        """Read-only view {left vertex: its leaves}, built on each access."""
+        return MappingProxyType(dict(zip(self.left, self.leaves)))
+
+    @property
+    def triangle_map(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
+        """Read-only view {right vertex: its triangle pairs}, built on each access."""
+        return MappingProxyType(dict(zip(self.right, self.triangles)))
 
     @property
     def n(self) -> int:
@@ -63,11 +89,11 @@ class CWDecomposition(FrozenRecord):
 
     @property
     def f_counts(self) -> tuple[int, ...]:
-        return tuple(len(self.leaf_map[x]) for x in self.left)
+        return tuple(map(len, self.leaves))
 
     @property
     def t_counts(self) -> tuple[int, ...]:
-        return tuple(len(self.triangle_map[y]) for y in self.right)
+        return tuple(map(len, self.triangles))
 
     @property
     def f(self) -> int:
@@ -110,11 +136,11 @@ class CWDecomposition(FrozenRecord):
         for u, v in self.support.edges:
             if (u in lset) == (v in lset):
                 raise InvalidDecomposition("support edge inside one side; not bipartite")
-        if set(self.leaf_map) != set(self.left):
+        if self.leaves is None or len(self.leaves) != len(self.left):
             raise InvalidDecomposition("leaf_map keys must be exactly the left vertices")
-        if set(self.triangle_map) != set(self.right):
+        if self.triangles is None or len(self.triangles) != len(self.right):
             raise InvalidDecomposition("triangle_map keys must be exactly the right vertices")
-        if any(len(ls) == 0 for ls in self.leaf_map.values()):
+        if any(len(ls) == 0 for ls in self.leaves):
             raise InvalidDecomposition("every left vertex needs at least one leaf")
         counts = self.t_counts
         seen_bare = False
@@ -126,12 +152,12 @@ class CWDecomposition(FrozenRecord):
                     "right vertices must be ordered with triangle-bearing ones first"
                 )
         attached: set[str] = set()
-        for ls in self.leaf_map.values():
+        for ls in self.leaves:
             attached.update(ls)
-        for pairs in self.triangle_map.values():
+        for pairs in self.triangles:
             for a, b in pairs:
                 attached.update((a, b))
-        expected = sum(len(ls) for ls in self.leaf_map.values()) + 2 * self.t
+        expected = self.f + 2 * self.t
         if len(attached) != expected or attached & set(self.support.vertices):
             raise InvalidDecomposition("attachment labels must be fresh and distinct")
 
@@ -141,13 +167,13 @@ class CWDecomposition(FrozenRecord):
     def canonical_map(self) -> dict[str, str]:
         """Mapping from this decomposition's labels to the canonical scheme."""
         out: dict[str, str] = {}
-        for i, x in enumerate(self.left, start=1):
+        for i, (x, ls) in enumerate(zip(self.left, self.leaves), start=1):
             out[x] = f"x{i}"
-            for l, z in enumerate(self.leaf_map[x], start=1):
+            for l, z in enumerate(ls, start=1):
                 out[z] = f"z{i}_{l}"
-        for j, y in enumerate(self.right, start=1):
+        for j, (y, pairs) in enumerate(zip(self.right, self.triangles), start=1):
             out[y] = f"y{j}"
-            for k, (a, b) in enumerate(self.triangle_map[y], start=1):
+            for k, (a, b) in enumerate(pairs, start=1):
                 out[a] = f"w{j}_{k}+"
                 out[b] = f"w{j}_{k}-"
         return out
@@ -158,8 +184,8 @@ class CWDecomposition(FrozenRecord):
             "left": list(self.left),
             "right": list(self.right),
             "support_edges": [list(e) for e in self.support.edges],
-            "leaves": {x: len(self.leaf_map[x]) for x in self.left},
-            "triangles": {y: len(self.triangle_map[y]) for y in self.right},
+            "leaves": dict(zip(self.left, self.f_counts)),
+            "triangles": dict(zip(self.right, self.t_counts)),
         }
 
     def to_json(self) -> str:
@@ -324,8 +350,8 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     the cover's parts disjoint, so only g's edges are checked.  Linear in |V| + |E|; raises
     InvalidDecomposition when either half fails.
     """
-    matching = [(x, dec.leaf_map[x][0]) for x in dec.left]
-    matching += [pair for y in dec.right for pair in dec.triangle_map[y]]
+    matching = [(x, ls[0]) for x, ls in zip(dec.left, dec.leaves)]
+    matching += [pair for pairs in dec.triangles for pair in pairs]
     slot: dict[str, int] = {}
     for i, (a, b) in enumerate(matching):
         if not g.has_edge(a, b):
@@ -334,8 +360,8 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
 
     left = set(dec.left)
     odd_set: dict[str, str] = {}
-    for y in dec.right:
-        for v in (y, *(w for pair in dec.triangle_map[y] for w in pair)):
+    for y, pairs in zip(dec.right, dec.triangles):
+        for v in (y, *(w for pair in pairs for w in pair)):
             odd_set[v] = y
     for u, v in g.edges:
         if u in slot and v in slot and slot[u] != slot[v]:
@@ -399,15 +425,15 @@ def build_cw(dec: CWDecomposition) -> Graph:
     z by their indices), so the graph is built without sorting them.
     """
     cmap = dec.canonical_map()
-    w = [cmap[a] for y in dec.right for pair in dec.triangle_map[y] for a in pair]
-    zs = [cmap[z] for x in dec.left for z in dec.leaf_map[x]]
+    w = [cmap[a] for pairs in dec.triangles for pair in pairs for a in pair]
+    zs = [cmap[z] for ls in dec.leaves for z in ls]
     vertices = (*w, *(cmap[x] for x in dec.left), *(cmap[y] for y in dec.right), *zs)
     edges = [(cmap[u], cmap[v]) for u, v in dec.support.edges]
-    for x in dec.left:
-        for z in dec.leaf_map[x]:
+    for x, ls in zip(dec.left, dec.leaves):
+        for z in ls:
             edges.append((cmap[x], cmap[z]))
-    for y in dec.right:
-        for a, b in dec.triangle_map[y]:
+    for y, pairs in zip(dec.right, dec.triangles):
+        for a, b in pairs:
             edges.append((cmap[y], cmap[a]))
             edges.append((cmap[y], cmap[b]))
             edges.append((cmap[a], cmap[b]))

@@ -16,6 +16,7 @@ from cwgraphs import (
     random_cw,
 )
 from cwgraphs.complexes import _adjacency_masks
+from cwgraphs.oracle import enumerate_labeled_graphs
 from cwgraphs.graph import sorted_labels
 from cwgraphs.structure import _two_coloring
 from cwgraphs.errors import (
@@ -132,6 +133,24 @@ def test_connected_components():
     g2 = from_edge_list([("a", "b"), ("c", "d")])
     assert g2.connected_components() == (("a", "b"), ("c", "d"))
     assert not g2.is_connected()
+
+
+def test_is_connected_agrees_with_the_components():
+    # one traversal from the first vertex against the sorted components
+    labelled = list(enumerate_labeled_graphs(5))
+    isolated = [
+        Graph([]),
+        Graph(["a"]),
+        Graph(["a", "b"]),
+        from_edge_list([("b", "c")], isolated=["a"]),
+        from_edge_list([("a", "b")], isolated=["c"]),
+        from_edge_list([("a", "b"), ("b", "c")], isolated=["b2"]),
+    ]
+    for g in (*labelled, *isolated):
+        assert g.is_connected() == (len(g.connected_components()) <= 1), g.edges
+    # 728 of the 1,024 labelled graphs on 5 vertices are connected
+    assert sum(g.is_connected() for g in labelled) == 728
+    assert [g.is_connected() for g in isolated] == [True, True, False, False, False, False]
 
 
 def test_bipartition_single_edge():

@@ -34,7 +34,7 @@ from cwgraphs import (
     regularity_cw,
 )
 from cwgraphs import complexes, invariants, structure
-from cwgraphs.complexes import COMPLEX_VERTEX_CAP
+from cwgraphs.complexes import COMPLEX_VERTEX_CAP, _maximal_independent_masks
 from cwgraphs.errors import (
     InvalidDecomposition,
     NotCameronWalker,
@@ -216,6 +216,7 @@ def test_gorenstein_reads_the_theorem(monkeypatch):
     assert any(is_cm_cw(dec) and dec.n + 2 * dec.m <= COMPLEX_VERTEX_CAP for dec in decs)
     monkeypatch.setattr(invariants, "g_prime", refuse)
     monkeypatch.setattr(invariants, "independence_complex", refuse)
+    monkeypatch.setattr(invariants, "_maximal_independent_masks", refuse)
     for dec in decs:
         assert is_gorenstein_cw(dec) is False
 
@@ -382,18 +383,24 @@ def test_purity_disagreeing_with_the_cm_shape_raises(monkeypatch, edges):
 
 
 def test_full_report_builds_one_independence_complex(monkeypatch):
-    built = []
+    built, counted = [], []
 
-    def counting(g):
+    def building(g):
         built.append(g.vertex_count)
         return independence_complex(g)
 
-    monkeypatch.setattr(invariants, "independence_complex", counting)
+    def counting(g):
+        counted.append(g.vertex_count)
+        return _maximal_independent_masks(g)
+
+    monkeypatch.setattr(invariants, "independence_complex", building)
+    monkeypatch.setattr(invariants, "_maximal_independent_masks", counting)
     full_report(from_edge_list(P5_EDGES))
-    assert built == [5]
+    assert built == [5] and counted == []
     built.clear()
-    full_report(from_edge_list(G5_EDGES))  # Cohen-Macaulay: G' is counted too
-    assert built == [5, 3]
+    # Cohen-Macaulay: the sets of G' are counted too, with no complex built
+    full_report(from_edge_list(G5_EDGES))
+    assert built == [5] and counted == [3]
 
 
 def test_full_report_g5():
@@ -458,9 +465,9 @@ def test_cm_type_past_the_cap_is_formula_only(monkeypatch):
 
     def counting(g):
         built.append(g.vertex_count)
-        return independence_complex(g)
+        return _maximal_independent_masks(g)
 
-    monkeypatch.setattr(invariants, "independence_complex", counting)
+    monkeypatch.setattr(invariants, "_maximal_independent_masks", counting)
     for n, m, counted in ((2, 12, True), (1, 13, False)):
         dec = random_cw(n, m, 1, 1, 0.0, 0)
         assert dec.n + 2 * dec.m == 26 + (not counted)

@@ -156,6 +156,17 @@ def labelled_graph(draw):
     suppress_health_check=[HealthCheck.filter_too_much],
 )
 @given(st.one_of(any_graph(), labelled_graph(), near_cameron_walker()))
+def test_is_connected_agrees_with_the_components(g):
+    assert g.is_connected() == (len(g.connected_components()) <= 1)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), labelled_graph(), near_cameron_walker()))
 def test_matching_searches_agree_with_oracle(g):
     m, witness_m = matching_number(g)
     im, witness_im = induced_matching_number(g)
@@ -331,8 +342,7 @@ def test_report_counts_and_triangle_pairs(g):
     if dec is None:
         return
     event(f"{dec.t} triangles")
-    for y in dec.right:
-        pairs = dec.triangle_map[y]
+    for pairs in dec.triangles:
         assert all(any(p is e for e in g.edges) for p in pairs)
         keys = [(label_key(a), label_key(b)) for a, b in pairs]
         assert all(a < b for a, b in keys) and keys == sorted(keys)
@@ -355,19 +365,21 @@ def test_decompose_of_a_relabelled_graph_matches_the_sorted_reading(data):
     event(f"label order moved: {tuple(name[v] for v in g.vertices) != h.vertices}")
 
     left = sorted_labels(name[x] for x in dec.left)
-    bearing = {name[y] for y in dec.right if dec.triangle_map[y]}
+    bearing = {name[y] for y, pairs in zip(dec.right, dec.triangles) if pairs}
     right = tuple(
         sorted((name[y] for y in dec.right), key=lambda y: (y not in bearing, label_key(y)))
     )
-    leaf_map = {name[x]: sorted_labels(name[z] for z in dec.leaf_map[x]) for x in dec.left}
+    leaf_map = {
+        name[x]: sorted_labels(name[z] for z in ls) for x, ls in zip(dec.left, dec.leaves)
+    }
     triangle_map = {
         name[y]: tuple(
             sorted(
-                (sorted_labels((name[a], name[b])) for a, b in dec.triangle_map[y]),
+                (sorted_labels((name[a], name[b])) for a, b in pairs),
                 key=lambda pair: tuple(map(label_key, pair)),
             )
         )
-        for y in dec.right
+        for y, pairs in zip(dec.right, dec.triangles)
     }
     expected = CWDecomposition(h.induced_subgraph(left + right), left, right, leaf_map, triangle_map)
     assert decompose(h) == expected

@@ -1,6 +1,7 @@
 """The package's record classes and the cost of importing the package."""
 
 import copy
+import gc
 import inspect
 import os
 import pickle
@@ -20,6 +21,9 @@ from cwgraphs import (
     MatchingStats,
     OracleBudget,
     ShellingOrder,
+    build_cw,
+    decompose,
+    random_cw,
 )
 from cwgraphs.errors import InvalidDecomposition
 from cwgraphs.graph import Graph
@@ -53,34 +57,34 @@ RECORDS = [*FROZEN, InvariantReport]
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_fields_follow_the_constructor(cls):
-    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_frozen_record_behaviour(cls):
     values, other_first = FROZEN[cls]
     rec = cls(*values)
-    same = cls(**dict(zip(cls.__slots__, values)))
-    assert tuple(getattr(rec, name) for name in cls.__slots__) == values
+    same = cls(**dict(zip(cls._fields, values)))
+    assert tuple(getattr(rec, name) for name in cls._fields) == values
     assert rec == same and not rec != same
     assert rec != cls(other_first, *values[1:])
     assert rec != values and rec != object()
     assert copy.copy(rec) == rec and pickle.loads(pickle.dumps(rec)) == rec
     assert copy.deepcopy(rec) == rec
-    assert repr(rec).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+    assert repr(rec).startswith(f"{cls.__name__}({cls._fields[0]}=")
     if cls in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(rec)
     else:
         assert hash(rec) == hash(same) == hash(values)
-    for name in cls.__slots__:
+    for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
         with pytest.raises(AttributeError):
             delattr(rec, name)
     with pytest.raises(AttributeError):
         rec.extra = 1
-    assert tuple(getattr(rec, name) for name in cls.__slots__) == values
+    assert tuple(getattr(rec, name) for name in cls._fields) == values
 
 
 def test_record_defaults():
@@ -107,6 +111,49 @@ def test_maps_are_read_only_copies():
     sizes["x1"] = 1
     assert dec.leaf_map == {"x1": ("z1_1",)} and dec.triangle_map == {"y1": ()}
     assert spec.sizes == {"x1": 2, "y1": 2}
+
+
+# random_cw(3, 3, 3, 2, 0.5, seed) draws f_i >= 2 at every left vertex
+# and t_j = 2 at some right vertex for these seeds
+CW_SEEDS = (1, 2, 3, 9)
+
+
+def _certificates(seed):
+    dec = random_cw(3, 3, 3, 2, 0.5, seed)
+    assert min(dec.f_counts) >= 2 and max(dec.t_counts) >= 2
+    return dec, decompose(build_cw(dec))
+
+
+@pytest.mark.parametrize("seed", CW_SEEDS)
+def test_certificate_copies_and_views(seed):
+    for dec in _certificates(seed):
+        for twin in (pickle.loads(pickle.dumps(dec)), copy.copy(dec), copy.deepcopy(dec)):
+            assert twin == dec and not twin != dec
+            assert (twin.leaves, twin.triangles) == (dec.leaves, dec.triangles)
+        assert repr(dec).startswith("CWDecomposition(support=")
+        with pytest.raises(TypeError):
+            hash(dec)
+        assert dec.leaf_map == dict(zip(dec.left, dec.leaves))
+        assert dec.triangle_map == dict(zip(dec.right, dec.triangles))
+        with pytest.raises(TypeError):
+            dec.leaf_map[dec.left[0]] = ()
+        with pytest.raises(TypeError):
+            dec.triangle_map[dec.right[0]] = ()
+
+
+@pytest.mark.parametrize("seed", CW_SEEDS)
+def test_certificate_refers_to_no_dict(seed):
+    # the attachment lists are tuples aligned with the sides, and the
+    # maps are built only when read, so a stored certificate holds no dict
+    dec = _certificates(seed)[1]
+    reached, stack = set(), [dec]
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if not isinstance(ref, type) and id(ref) not in reached:
+                assert type(ref) is not dict, ref
+                reached.add(id(ref))
+                stack.append(ref)
+    assert {id(dec.leaves), id(dec.triangles)} <= reached
 
 
 def test_invariant_report_is_mutable_and_unhashable():

@@ -531,7 +531,7 @@ def test_validate_rejects_bad_decompositions():
         ("fresh and distinct", {"leaf_map": {"x1": ("z1_1",), "x2": ("y2",)}}),
         ("fresh and distinct", {"triangle_map": {"y1": tri["y1"], "y2": tri["y1"]}}),
     ]
-    fields = {name: getattr(dec, name) for name in type(dec).__slots__}
+    fields = {name: getattr(dec, name) for name in type(dec)._fields}
     for message, changes in bad:
         with pytest.raises(InvalidDecomposition, match=message):
             type(dec)(**{**fields, **changes})

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import deque
 from collections.abc import Iterable
 
 from .errors import EmptyGraph, LoopEdge, ParseError, UnknownVertex
@@ -53,7 +52,7 @@ class Graph:
     public parsers.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_vertices", "_edges", "_adj", "_rank")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         # label_key runs once per vertex.
@@ -86,6 +85,8 @@ class Graph:
             es.add(a * n + b if a < b else b * n + a)
         self._vertices = verts
         self._edges = tuple((verts[k // n], verts[k % n]) for k in sorted(es))
+        # Kept as the label order key, so no label is sorted again.
+        self._rank = rank
         # Built on first use, so a graph that is only stored and read as
         # vertex and edge tuples (a decomposition's support) stays small.
         # Its keys are also the vertex set that membership is checked in.
@@ -129,6 +130,11 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
+    def __reduce__(self):
+        # Rebuilt from its tuples: an induced subgraph would otherwise
+        # pickle and copy its parent's whole rank dict.
+        return Graph, (self._vertices, self._edges)
+
     def has_edge(self, u: str, v: str) -> bool:
         adj = self._adjacency()
         return u in adj and v in adj[u]
@@ -154,32 +160,14 @@ class Graph:
         for v in kept:
             self._require(v)
         # Filtering keeps label and edge order, so the subgraph can share
-        # this graph's edge tuples instead of sorting fresh copies.
+        # this graph's edge tuples instead of sorting fresh copies, and its
+        # ranks, which are read only as an order.
         sub = Graph.__new__(Graph)
         sub._vertices = tuple(v for v in self._vertices if v in kept)
         sub._edges = tuple(e for e in self._edges if e[0] in kept and e[1] in kept)
         sub._adj = None
+        sub._rank = self._rank
         return sub
-
-    def connected_components(self) -> tuple[tuple[str, ...], ...]:
-        """Maximal connected vertex sets, each sorted, listed by smallest member."""
-        adj = self._adjacency()
-        seen: set[str] = set()
-        comps = []
-        for root in self._vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            comps.append(sorted_labels(comp))
-        return tuple(comps)
 
     def is_connected(self) -> bool:
         """Whether one traversal from the first vertex reaches every
@@ -209,22 +197,21 @@ class Graph:
         a < b are the degree-2 vertices; sorted by c then (a, b).
         """
         adj = self._adjacency()
+        rank = self._rank
         found = []
         for a in self._vertices:
             if len(adj[a]) != 2:
                 continue
-            x, y = sorted(adj[a], key=label_key)
             # a's triangle partner is its degree-2 neighbour; the third
-            # vertex is the attachment and must have degree > 2.
+            # vertex is the attachment and must have degree > 2.  At most
+            # one of the two readings holds, so the pair needs no order.
+            x, y = adj[a]
             for b, c in ((x, y), (y, x)):
-                if (
-                    len(adj[b]) == 2
-                    and len(adj[c]) > 2
-                    and b in adj[c]
-                    and label_key(a) < label_key(b)
-                ):
+                if len(adj[b]) == 2 and len(adj[c]) > 2 and b in adj[c] and rank[a] < rank[b]:
                     found.append((c, a, b))
-        found.sort(key=lambda t: (label_key(t[0]), label_key(t[1]), label_key(t[2])))
+        # a runs in label order and starts at most one triangle, so a
+        # stable sort by c gives the order by (c, a, b).
+        found.sort(key=lambda t: rank[t[0]])
         return tuple(found)
 
     # -- serialization ---------------------------------------------------

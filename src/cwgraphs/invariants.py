@@ -79,14 +79,14 @@ def cw_witness_covers(dec: CWDecomposition):
     cmap = dec.canonical_map()
     xs = {cmap[x] for x in dec.left}
     ys = {cmap[y] for y in dec.right}
-    zs = {cmap[z] for ls in dec.leaves for z in ls}
+    k, f = dec.n + dec.m, dec.f
+    zs = {cmap[z] for z in dec.packed[k : k + f]}
     w_both = set()
     w_first = set()
-    for pairs in dec.triangles:
-        for a, b in pairs:
-            w_both.update((cmap[a], cmap[b]))
-            w_first.add(cmap[a])
-    bearing = {cmap[y] for y, pairs in zip(dec.right, dec.triangles) if pairs}
+    for a, b in dec.packed[k + f :]:
+        w_both.update((cmap[a], cmap[b]))
+        w_first.add(cmap[a])
+    bearing = {cmap[y] for y, t in zip(dec.right, dec.packed[dec.n :]) if t}
     return (
         frozenset(xs | w_both),
         frozenset(ys | zs | w_first),
@@ -113,7 +113,7 @@ def cw_cover_cardinalities(dec: CWDecomposition) -> tuple[int, int, int]:
 def is_cm_cw(dec: CWDecomposition) -> bool:
     """Cohen-Macaulay iff exactly one leaf per left vertex and exactly one
     pendant triangle per right vertex."""
-    return all(f == 1 for f in dec.f_counts) and all(t == 1 for t in dec.t_counts)
+    return all(c == 1 for c in dec.packed[: dec.n + dec.m])
 
 
 def g_prime(dec: CWDecomposition) -> Graph:
@@ -126,10 +126,12 @@ def g_prime(dec: CWDecomposition) -> Graph:
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("the derived subgraph needs a Cohen-Macaulay shape")
     cmap = dec.canonical_map()
-    plus = [(cmap[y], cmap[pairs[0][0]]) for y, pairs in zip(dec.right, dec.triangles)]
+    # the counts, one leaf per left vertex, then one pair per right vertex
+    pairs = dec.packed[2 * dec.n + dec.m :]
+    plus = [(cmap[y], cmap[a]) for y, (a, _) in zip(dec.right, pairs)]
     return Graph(
-        [cmap[v] for v in dec.support.vertices] + [w for _, w in plus],
-        [(cmap[u], cmap[v]) for u, v in dec.support.edges] + plus,
+        [cmap[v] for v in dec.left + dec.right] + [w for _, w in plus],
+        [(cmap[u], cmap[v]) for u, v in dec.support_edges] + plus,
     )
 
 

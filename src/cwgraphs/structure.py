@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from collections.abc import Mapping
+from itertools import accumulate, chain, islice
 from types import MappingProxyType
 
 from .errors import InvalidDecomposition, NotCameronWalker
@@ -40,17 +41,24 @@ class CWDecomposition(FrozenRecord):
     ``right[j]``.  Right vertices are ordered so that the
     triangle-bearing ones come first.  The constructor takes these lists
     as the maps ``leaf_map`` and ``triangle_map``, whose keys must be
-    exactly the left and the right vertices, stores them as tuples
-    aligned with the sides and runs ``validate``, so every instance is a
-    valid certificate and its users need not check it again.
+    exactly the left and the right vertices, runs the checks of
+    ``validate`` and keeps four tuples: ``left``, ``right``, the
+    support's edge tuple ``support_edges`` and ``packed``, which holds
+    the counts f_1..f_n and t_1..t_m, then every leaf, grouped by left
+    vertex, then every triangle pair, grouped by right vertex.  (One
+    tuple for counts and attachments keeps a stored certificate one
+    tuple smaller.)  So every instance is a valid certificate and its
+    users need not check it again.
 
-    The maps are the record's fields, which equality, ``repr`` and
-    pickling read: read-only views built on each access, so a caller
-    that looks up many keys keeps one view.  The views show dicts, so a
-    decomposition is unhashable.
+    ``support``, ``leaves``, ``triangles``, ``f_counts``, ``t_counts``
+    and the read-only maps are built from these tuples on each access,
+    so a caller that reads one in a loop keeps one copy.  The record's
+    fields, which equality, ``repr`` and pickling read, are the
+    constructor's parameters; the maps show dicts, so a decomposition is
+    unhashable.
     """
 
-    __slots__ = ("support", "left", "right", "leaves", "triangles")
+    __slots__ = ("left", "right", "support_edges", "packed")
     _fields = ("support", "left", "right", "leaf_map", "triangle_map")
     __hash__ = None
 
@@ -62,12 +70,40 @@ class CWDecomposition(FrozenRecord):
         leaf_map: Mapping[str, tuple[str, ...]],
         triangle_map: Mapping[str, tuple[tuple[str, str], ...]],
     ):
-        set_field(self, "support", support)
         set_field(self, "left", left)
         set_field(self, "right", right)
-        set_field(self, "leaves", _aligned(leaf_map, left))
-        set_field(self, "triangles", _aligned(triangle_map, right))
-        self.validate()
+        set_field(self, "support_edges", support.edges)
+        self._check_support(support.vertices)
+        leaves = _aligned(leaf_map, left)
+        if leaves is None:
+            raise InvalidDecomposition("leaf_map keys must be exactly the left vertices")
+        triangles = _aligned(triangle_map, right)
+        if triangles is None:
+            raise InvalidDecomposition("triangle_map keys must be exactly the right vertices")
+        counts = (*map(len, leaves), *map(len, triangles))
+        set_field(self, "packed", (*counts, *chain(*leaves), *chain(*triangles)))
+        self._check_attachments()
+
+    @property
+    def support(self) -> Graph:
+        """The support graph on ``left`` + ``right``, built on each access."""
+        return Graph(self.left + self.right, self.support_edges)
+
+    def _groups(self, first: int, stop: int) -> tuple[tuple, ...]:
+        # the attachment tuples of the vertices first..stop-1 of left + right
+        k = self.n + self.m
+        ends = list(accumulate(self.packed[:k], initial=k))
+        return tuple(self.packed[ends[i] : ends[i + 1]] for i in range(first, stop))
+
+    @property
+    def leaves(self) -> tuple[tuple[str, ...], ...]:
+        """The leaves of each left vertex, built on each access."""
+        return self._groups(0, self.n)
+
+    @property
+    def triangles(self) -> tuple[tuple[tuple[str, str], ...], ...]:
+        """The triangle pairs of each right vertex, built on each access."""
+        return self._groups(self.n, self.n + self.m)
 
     @property
     def leaf_map(self) -> Mapping[str, tuple[str, ...]]:
@@ -89,38 +125,42 @@ class CWDecomposition(FrozenRecord):
 
     @property
     def f_counts(self) -> tuple[int, ...]:
-        return tuple(map(len, self.leaves))
+        return self.packed[: self.n]
 
     @property
     def t_counts(self) -> tuple[int, ...]:
-        return tuple(map(len, self.triangles))
+        return self.packed[self.n : self.n + self.m]
 
     @property
     def f(self) -> int:
-        return sum(self.f_counts)
+        return sum(self.packed[: self.n])
 
     @property
     def t(self) -> int:
-        return sum(self.t_counts)
+        return sum(self.packed[self.n : self.n + self.m])
 
     @property
     def m_prime(self) -> int:
-        return sum(1 for t in self.t_counts if t >= 1)
+        return sum(1 for t in self.packed[self.n : self.n + self.m] if t >= 1)
 
     def validate(self) -> None:
         """Raise InvalidDecomposition unless this is a valid certificate."""
-        # Reads only the support's vertex and edge tuples, so validating
-        # does not make the stored support build its adjacency.
+        self._check_support(self.left + self.right)
+        self._check_attachments()
+
+    def _check_support(self, vertices: tuple[str, ...]) -> None:
+        # The checks of validate up to the attachments, on the support's
+        # vertices and the stored edges.
         if not self.left or not self.right:
             raise InvalidDecomposition("support needs vertices on both sides")
         if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
             raise InvalidDecomposition("a vertex repeats within left or right")
-        if set(self.support.vertices) != set(self.left) | set(self.right):
+        if set(vertices) != set(self.left) | set(self.right):
             raise InvalidDecomposition("left/right must partition the support vertices")
         if set(self.left) & set(self.right):
             raise InvalidDecomposition("left and right overlap")
-        nbrs: dict[str, list[str]] = {v: [] for v in self.support.vertices}
-        for u, v in self.support.edges:
+        nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+        for u, v in self.support_edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         reached = {self.left[0]}
@@ -133,32 +173,29 @@ class CWDecomposition(FrozenRecord):
         if len(reached) != len(nbrs):
             raise InvalidDecomposition("support is not connected")
         lset = set(self.left)
-        for u, v in self.support.edges:
+        for u, v in self.support_edges:
             if (u in lset) == (v in lset):
                 raise InvalidDecomposition("support edge inside one side; not bipartite")
-        if self.leaves is None or len(self.leaves) != len(self.left):
-            raise InvalidDecomposition("leaf_map keys must be exactly the left vertices")
-        if self.triangles is None or len(self.triangles) != len(self.right):
-            raise InvalidDecomposition("triangle_map keys must be exactly the right vertices")
-        if any(len(ls) == 0 for ls in self.leaves):
+
+    def _check_attachments(self) -> None:
+        # The rest of validate, on the stored counts and attachments.
+        n, k = self.n, self.n + self.m
+        if 0 in self.packed[:n]:
             raise InvalidDecomposition("every left vertex needs at least one leaf")
-        counts = self.t_counts
         seen_bare = False
-        for t in counts:
+        for t in self.packed[n:k]:
             if t == 0:
                 seen_bare = True
             elif seen_bare:
                 raise InvalidDecomposition(
                     "right vertices must be ordered with triangle-bearing ones first"
                 )
-        attached: set[str] = set()
-        for ls in self.leaves:
-            attached.update(ls)
-        for pairs in self.triangles:
-            for a, b in pairs:
-                attached.update((a, b))
-        expected = self.f + 2 * self.t
-        if len(attached) != expected or attached & set(self.support.vertices):
+        f = self.f
+        attached = set(self.packed[k : k + f])
+        for a, b in self.packed[k + f :]:
+            attached.update((a, b))
+        expected = f + 2 * self.t
+        if len(attached) != expected or attached & {*self.left, *self.right}:
             raise InvalidDecomposition("attachment labels must be fresh and distinct")
 
     def vertex_count(self) -> int:
@@ -167,13 +204,15 @@ class CWDecomposition(FrozenRecord):
     def canonical_map(self) -> dict[str, str]:
         """Mapping from this decomposition's labels to the canonical scheme."""
         out: dict[str, str] = {}
-        for i, (x, ls) in enumerate(zip(self.left, self.leaves), start=1):
+        # zip stops each side at its own counts
+        attached = iter(self.packed[self.n + self.m :])
+        for i, (x, c) in enumerate(zip(self.left, self.packed), start=1):
             out[x] = f"x{i}"
-            for l, z in enumerate(ls, start=1):
+            for l, z in enumerate(islice(attached, c), start=1):
                 out[z] = f"z{i}_{l}"
-        for j, (y, pairs) in enumerate(zip(self.right, self.triangles), start=1):
+        for j, (y, c) in enumerate(zip(self.right, self.packed[self.n :]), start=1):
             out[y] = f"y{j}"
-            for k, (a, b) in enumerate(pairs, start=1):
+            for k, (a, b) in enumerate(islice(attached, c), start=1):
                 out[a] = f"w{j}_{k}+"
                 out[b] = f"w{j}_{k}-"
         return out
@@ -183,9 +222,9 @@ class CWDecomposition(FrozenRecord):
         return {
             "left": list(self.left),
             "right": list(self.right),
-            "support_edges": [list(e) for e in self.support.edges],
-            "leaves": dict(zip(self.left, self.f_counts)),
-            "triangles": dict(zip(self.right, self.t_counts)),
+            "support_edges": [list(e) for e in self.support_edges],
+            "leaves": dict(zip(self.left, self.packed)),
+            "triangles": dict(zip(self.right, self.packed[self.n :])),
         }
 
     def to_json(self) -> str:
@@ -330,8 +369,9 @@ def _try_decompose(g: Graph, leaves: tuple[str, ...]):
     right = tuple(y for y in right_side if tri_at[y]) + tuple(
         y for y in right_side if not tri_at[y]
     )
-    leaf_map = {x: tuple(leaf_at[x]) for x in left}
-    triangle_map = {y: tuple(tri_at[y]) for y in right}
+    # the constructor flattens the lists into its packed tuple
+    leaf_map = {x: leaf_at[x] for x in left}
+    triangle_map = {y: tri_at[y] for y in right}
     support = g.induced_subgraph(support_vertices)
     return CWDecomposition(support, left, right, leaf_map, triangle_map), None
 
@@ -350,8 +390,10 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     the cover's parts disjoint, so only g's edges are checked.  Linear in |V| + |E|; raises
     InvalidDecomposition when either half fails.
     """
-    matching = [(x, ls[0]) for x, ls in zip(dec.left, dec.leaves)]
-    matching += [pair for pairs in dec.triangles for pair in pairs]
+    n, k, f = dec.n, dec.n + dec.m, dec.f
+    firsts = accumulate(dec.packed[: n - 1], initial=k)
+    matching = [(x, dec.packed[i]) for x, i in zip(dec.left, firsts)]
+    matching += dec.packed[k + f :]
     slot: dict[str, int] = {}
     for i, (a, b) in enumerate(matching):
         if not g.has_edge(a, b):
@@ -359,10 +401,11 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
         slot[a] = slot[b] = i
 
     left = set(dec.left)
-    odd_set: dict[str, str] = {}
-    for y, pairs in zip(dec.right, dec.triangles):
-        for v in (y, *(w for pair in pairs for w in pair)):
-            odd_set[v] = y
+    odd_set = {y: y for y in dec.right}
+    pairs = iter(dec.packed[k + f :])
+    for y, c in zip(dec.right, dec.packed[n:]):
+        for a, b in islice(pairs, c):
+            odd_set[a] = odd_set[b] = y
     for u, v in g.edges:
         if u in slot and v in slot and slot[u] != slot[v]:
             raise InvalidDecomposition(f"edge {(u, v)!r} joins two matching edges")
@@ -425,15 +468,17 @@ def build_cw(dec: CWDecomposition) -> Graph:
     z by their indices), so the graph is built without sorting them.
     """
     cmap = dec.canonical_map()
-    w = [cmap[a] for pairs in dec.triangles for pair in pairs for a in pair]
-    zs = [cmap[z] for ls in dec.leaves for z in ls]
+    n, k, f = dec.n, dec.n + dec.m, dec.f
+    w = [cmap[a] for pair in dec.packed[k + f :] for a in pair]
+    zs = [cmap[z] for z in dec.packed[k : k + f]]
     vertices = (*w, *(cmap[x] for x in dec.left), *(cmap[y] for y in dec.right), *zs)
-    edges = [(cmap[u], cmap[v]) for u, v in dec.support.edges]
-    for x, ls in zip(dec.left, dec.leaves):
-        for z in ls:
+    edges = [(cmap[u], cmap[v]) for u, v in dec.support_edges]
+    attached = iter(dec.packed[k:])
+    for x, c in zip(dec.left, dec.packed):
+        for z in islice(attached, c):
             edges.append((cmap[x], cmap[z]))
-    for y, pairs in zip(dec.right, dec.triangles):
-        for a, b in pairs:
+    for y, c in zip(dec.right, dec.packed[n:]):
+        for a, b in islice(attached, c):
             edges.append((cmap[y], cmap[a]))
             edges.append((cmap[y], cmap[b]))
             edges.append((cmap[a], cmap[b]))

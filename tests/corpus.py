@@ -5,7 +5,7 @@ import random
 from functools import lru_cache
 
 from cwgraphs import CWDecomposition, is_cm_cw, random_cw
-from cwgraphs.graph import Graph
+from cwgraphs.graph import Graph, label_key
 
 CORPUS_SEED = 20240601
 
@@ -58,6 +58,36 @@ def is_induced_matching(g: Graph, edges) -> bool:
     return is_matching(g, edges) and not any(
         g.has_edge(x, y) for e, f in itertools.combinations(edges, 2) for x in e for y in f
     )
+
+
+def connected_components(g: Graph) -> tuple[tuple[str, ...], ...]:
+    """Reference component finder: the maximal connected vertex sets, each
+    sorted by label_key, listed by smallest member."""
+    comps, seen = [], set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        comp, frontier = {root}, [root]
+        while frontier:
+            new = {w for u in frontier for w in g.neighborhood(u)} - comp
+            comp |= new
+            frontier = list(new)
+        seen |= comp
+        comps.append(tuple(sorted(comp, key=label_key)))
+    return tuple(comps)
+
+
+def pendant_triangles(g: Graph) -> tuple[tuple[str, str, str], ...]:
+    """Reference pendant-triangle scan by definition, ordered by label_key:
+    every triangle (c, a, b) with a < b of degree 2 and c of degree > 2."""
+    found = []
+    for a, b in g.edges:
+        if g.degree(a) == g.degree(b) == 2:
+            for c in g.neighborhood(a) & g.neighborhood(b):
+                if g.degree(c) > 2:
+                    a, b = sorted((a, b), key=label_key)
+                    found.append((c, a, b))
+    return tuple(sorted(found, key=lambda t: tuple(map(label_key, t))))
 
 
 def random_clique_partition(rng: random.Random, base: Graph):

@@ -1,11 +1,21 @@
 """Graph primitives: construction, neighbourhoods, bipartitions, attachments."""
 
 import collections
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
 
-from corpus import G5_EDGES, STAR7_EDGES, random_graph
+from corpus import (
+    G5_EDGES,
+    STAR7_EDGES,
+    connected_components,
+    cw_corpus,
+    pendant_triangles,
+    random_graph,
+)
 from cwgraphs import (
     Graph,
     build_cw,
@@ -108,6 +118,13 @@ def test_induced_subgraph():
     assert tri.induced_subgraph(tri.vertices) == tri
     with pytest.raises(UnknownVertex):
         tri.induced_subgraph({"a", "zz"})
+    # a subgraph shares its parent's ranks, but pickles and copies
+    # without them
+    big = Graph([f"v{i}" for i in range(500)], [("v1", "v2")])
+    sub = big.induced_subgraph({"v1", "v2"})
+    assert len(pickle.dumps(sub)) < 200
+    for twin in (pickle.loads(pickle.dumps(sub)), copy.copy(sub), copy.deepcopy(sub)):
+        assert twin == sub and sorted(twin._rank) == ["v1", "v2"]
 
 
 def test_induced_monotone():
@@ -124,14 +141,14 @@ def test_delete_matches_star_triangle_example():
     g = from_edge_list(STAR7_EDGES)
     rest = g.induced_subgraph(v for v in g.vertices if v != "1")
     assert rest.edges == (("2", "3"), ("4", "5"), ("6", "7"))
-    assert rest.connected_components() == (("2", "3"), ("4", "5"), ("6", "7"))
+    assert connected_components(rest) == (("2", "3"), ("4", "5"), ("6", "7"))
 
 
 def test_connected_components():
     g = from_edge_list([("a", "b")])
-    assert g.connected_components() == (("a", "b"),)
+    assert connected_components(g) == (("a", "b"),)
     g2 = from_edge_list([("a", "b"), ("c", "d")])
-    assert g2.connected_components() == (("a", "b"), ("c", "d"))
+    assert connected_components(g2) == (("a", "b"), ("c", "d"))
     assert not g2.is_connected()
 
 
@@ -147,7 +164,7 @@ def test_is_connected_agrees_with_the_components():
         from_edge_list([("a", "b"), ("b", "c")], isolated=["b2"]),
     ]
     for g in (*labelled, *isolated):
-        assert g.is_connected() == (len(g.connected_components()) <= 1), g.edges
+        assert g.is_connected() == (len(connected_components(g)) <= 1), g.edges
     # 728 of the 1,024 labelled graphs on 5 vertices are connected
     assert sum(g.is_connected() for g in labelled) == 728
     assert [g.is_connected() for g in isolated] == [True, True, False, False, False, False]
@@ -204,6 +221,43 @@ def test_leaves_and_pendant_triangles():
     g5 = from_edge_list(G5_EDGES)
     assert g5.leaves() == ("v",)
     assert g5.pendant_triangles() == (("y", "w", "z"),)
+
+
+def test_ranks_follow_the_label_order():
+    # the kept ranks order the vertices as sorted_labels does, also in an
+    # induced subgraph, which shares its parent's ranks
+    labels = ["x\u0663", "x4", "x2", "x01", "x1", "x10", "a10b2", "a2b10", "a10b10", "b", "a", "\u00e9"]
+    rng = random.Random(11)
+    for _ in range(20):
+        rng.shuffle(labels)
+        edges = [p for p in itertools.combinations(labels, 2) if rng.random() < 0.3]
+        g = Graph(labels, edges)
+        keep = rng.sample(labels, rng.randint(0, len(labels)))
+        for h in (g, g.induced_subgraph(keep), g.induced_subgraph(keep).induced_subgraph(keep[:3])):
+            assert tuple(sorted(h.vertices, key=g._rank.__getitem__)) == sorted_labels(h.vertices)
+            assert sorted_labels(h.vertices) == h.vertices
+    g = Graph(labels)
+    rank = g._rank
+    assert rank["x\u0663"] < rank["x4"] and rank["x01"] < rank["x1"] < rank["x4"]
+    assert rank["a"] < rank["a2b10"] < rank["a10b2"] < rank["a10b10"] < rank["b"]
+
+
+def test_pendant_triangles_agree_with_the_reference():
+    # every labelled graph on 5 vertices, and the corpus under a seeded
+    # relabelling whose label order differs from the canonical one
+    for g in enumerate_labeled_graphs(5):
+        assert g.pendant_triangles() == pendant_triangles(g), g.edges
+    rng = random.Random(23)
+    names = ["x\u0663", "x4", "x01", "x1", "a10b2", "a2b10", "b", "\u00e9"]
+    names += [f"v{i}" for i in range(40)]
+    found = 0
+    for dec in cw_corpus():
+        g = build_cw(dec)
+        rename = dict(zip(g.vertices, rng.sample(names, g.vertex_count)))
+        h = Graph(rename.values(), [(rename[u], rename[v]) for u, v in g.edges])
+        assert h.pendant_triangles() == pendant_triangles(h), h.edges
+        found += len(h.pendant_triangles())
+    assert found > 100
 
 
 def test_pendant_triangles_disjoint_pairs():

@@ -516,9 +516,13 @@ def test_report_invariants_on_corpus_sample():
     ids=["cm_report", "report", "build_cw"],
 )
 def test_each_certificate_is_validated_once(monkeypatch, run):
-    # checked where it is built; no consumer checks it again
+    # checked where it is built; no consumer checks it again.  The
+    # constructor and validate each run the checks once, starting with
+    # the support's.
     calls = []
-    validate = CWDecomposition.validate
-    monkeypatch.setattr(CWDecomposition, "validate", lambda dec: calls.append(dec) or validate(dec))
+    check = CWDecomposition._check_support
+    monkeypatch.setattr(
+        CWDecomposition, "_check_support", lambda dec, vs: calls.append(dec) or check(dec, vs)
+    )
     run()
     assert len(calls) == 1

@@ -41,7 +41,13 @@ from cwgraphs.errors import LoopEdge, UnknownVertex  # noqa: E402
 from cwgraphs.graph import sorted_labels  # noqa: E402
 from cwgraphs.oracle import ORACLE_EDGE_CAP as MAX_EDGES, ORACLE_FACET_CAP as MAX_FACETS  # noqa: E402
 from cwgraphs.structure import TAG_CAMERON_WALKER, TAG_OTHER  # noqa: E402
-from corpus import is_induced_matching, is_matching, star_triangle  # noqa: E402
+from corpus import (  # noqa: E402
+    connected_components,
+    is_induced_matching,
+    is_matching,
+    pendant_triangles,
+    star_triangle,
+)
 
 
 # Labels with digit runs, leading zeros that tie numerically (x01, x1),
@@ -157,7 +163,19 @@ def labelled_graph(draw):
 )
 @given(st.one_of(any_graph(), labelled_graph(), near_cameron_walker()))
 def test_is_connected_agrees_with_the_components(g):
-    assert g.is_connected() == (len(g.connected_components()) <= 1)
+    assert g.is_connected() == (len(connected_components(g)) <= 1)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(st.one_of(any_graph(), labelled_graph(), near_cameron_walker()))
+def test_pendant_triangles_agree_with_the_reference(g):
+    # the rank-ordered scan against one sorted by label_key
+    assert g.pendant_triangles() == pendant_triangles(g)
 
 
 @settings(

@@ -25,6 +25,7 @@ from cwgraphs import (
     decompose,
     random_cw,
 )
+from corpus import pendant_triangles
 from cwgraphs.errors import InvalidDecomposition
 from cwgraphs.graph import Graph
 
@@ -141,19 +142,60 @@ def test_certificate_copies_and_views(seed):
             dec.triangle_map[dec.right[0]] = ()
 
 
+def test_certificate_repr_and_reduce_are_unchanged():
+    # the fields are the constructor's parameters, whatever is stored
+    assert repr(DEC) == (
+        "CWDecomposition(support=Graph(2 vertices, 1 edges), left=('x1',), right=('y1',),"
+        " leaf_map=mappingproxy({'x1': ('z1_1',)}), triangle_map=mappingproxy({'y1': (('w+', 'w-'),)}))"
+    )
+    cls, args = DEC.__reduce__()
+    assert cls is CWDecomposition and list(map(type, args)) == [Graph, tuple, tuple, dict, dict]
+    assert args == (EDGE, ("x1",), ("y1",), {"x1": ("z1_1",)}, {"y1": (("w+", "w-"),)})
+
+
+@pytest.mark.parametrize("seed", CW_SEEDS)
+def test_certificate_views_follow_their_definitions(seed):
+    dec, read = _certificates(seed)
+    g = build_cw(dec)
+    # the reading of g: each left vertex's leaves and each right vertex's
+    # pendant-triangle pairs, in label order, and the graph they leave
+    leaves = tuple(tuple(z for z in g.leaves() if g.has_edge(x, z)) for x in read.left)
+    triangles = tuple(
+        tuple((a, b) for c, a, b in pendant_triangles(g) if c == y) for y in read.right
+    )
+    assert (read.leaves, read.triangles) == (leaves, triangles)
+    assert read.support == g.induced_subgraph(read.left + read.right)
+    for d in (dec, read):
+        assert d.support == Graph(d.left + d.right, d.support_edges)
+        assert d.f_counts == tuple(map(len, d.leaves)) and d.t_counts == tuple(map(len, d.triangles))
+        assert d.leaf_map == dict(zip(d.left, d.leaves))
+        assert d.triangle_map == dict(zip(d.right, d.triangles))
+        assert (d.f, d.t) == (sum(d.f_counts), sum(d.t_counts))
+        # each view is built from the four stored tuples
+        flat = (*(z for ls in d.leaves for z in ls), *(p for ps in d.triangles for p in ps))
+        assert d.packed == d.f_counts + d.t_counts + flat
+    # the generator names its attachments by position
+    assert dec.leaves == tuple(
+        tuple(f"z{i}_{l}" for l in range(1, f + 1)) for i, f in enumerate(dec.f_counts, start=1)
+    )
+    assert dec.triangles == tuple(
+        tuple((f"w{j}_{k}+", f"w{j}_{k}-") for k in range(1, t + 1))
+        for j, t in enumerate(dec.t_counts, start=1)
+    )
+
+
 @pytest.mark.parametrize("seed", CW_SEEDS)
 def test_certificate_refers_to_no_dict(seed):
-    # the attachment lists are tuples aligned with the sides, and the
-    # maps are built only when read, so a stored certificate holds no dict
+    # the support graph and the maps are built only when read, so a
+    # stored certificate holds neither a dict nor a Graph
     dec = _certificates(seed)[1]
     reached, stack = set(), [dec]
     while stack:
         for ref in gc.get_referents(stack.pop()):
             if not isinstance(ref, type) and id(ref) not in reached:
-                assert type(ref) is not dict, ref
+                assert type(ref) is not dict and not isinstance(ref, Graph), ref
                 reached.add(id(ref))
                 stack.append(ref)
-    assert {id(dec.leaves), id(dec.triangles)} <= reached
 
 
 def test_invariant_report_is_mutable_and_unhashable():

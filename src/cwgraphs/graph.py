@@ -229,11 +229,15 @@ def from_edge_list(
 ) -> Graph:
     """Build a graph from labelled edge pairs plus isolated vertices.
 
-    Duplicate edges collapse; a loop raises LoopEdge; a label that is not
-    a nonempty string raises ParseError; an overall empty vertex set
-    raises EmptyGraph.
+    Duplicate edges collapse; a loop raises LoopEdge; a pair that is not
+    a tuple or list of two items, or a label that is not a nonempty
+    string, raises ParseError; an overall empty vertex set raises
+    EmptyGraph.
     """
     pairs = list(pairs)
+    for pair in pairs:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ParseError(f"edge {pair!r} must be a list of exactly two endpoints")
     labels = [*isolated, *(w for pair in pairs for w in pair)]
     if not all(isinstance(w, str) and w for w in labels):
         raise ParseError("vertex labels must be nonempty strings")
@@ -281,9 +285,7 @@ def parse_graph_json(text: str) -> Graph:
     edges = payload["edges"]
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise ParseError("'vertices' and 'edges' must be lists")
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ParseError(f"edge {e!r} must be a list of exactly two endpoints")
     if not vertices and not edges:
         raise EmptyGraph("graph JSON declares no vertices")
-    return from_edge_list([tuple(e) for e in edges], vertices)
+    # from_edge_list rejects an edge that is not a list of two endpoints
+    return from_edge_list(edges, vertices)

@@ -46,9 +46,8 @@ _IM_EQUALS_M = (TAG_STAR, TAG_STAR_TRIANGLE, TAG_CAMERON_WALKER)
 def minimal_vertex_covers(g: Graph):
     """All minimal vertex covers: complements of the independence facets."""
     cx = independence_complex(g)
-    rank = {v: i for i, v in enumerate(g.vertices)}
     covers = [tuple(v for v in g.vertices if v not in f) for f in cx.facets]
-    return tuple(sorted(covers, key=lambda c: [rank[v] for v in c]))
+    return tuple(sorted(covers, key=lambda c: [g._rank[v] for v in c]))
 
 
 def is_unmixed(g: Graph) -> bool:
@@ -79,14 +78,11 @@ def cw_witness_covers(dec: CWDecomposition):
     cmap = dec.canonical_map()
     xs = {cmap[x] for x in dec.left}
     ys = {cmap[y] for y in dec.right}
-    k, f = dec.n + dec.m, dec.f
-    zs = {cmap[z] for z in dec.packed[k : k + f]}
-    w_both = set()
-    w_first = set()
-    for a, b in dec.packed[k + f :]:
-        w_both.update((cmap[a], cmap[b]))
-        w_first.add(cmap[a])
-    bearing = {cmap[y] for y, t in zip(dec.right, dec.packed[dec.n :]) if t}
+    zs = {cmap[z] for leaves in dec.leaves for z in leaves}
+    pairs = [pair for at_y in dec.triangles for pair in at_y]
+    w_both = {cmap[a] for pair in pairs for a in pair}
+    w_first = {cmap[a] for a, _ in pairs}
+    bearing = {cmap[y] for y, t in zip(dec.right, dec.t_counts) if t}
     return (
         frozenset(xs | w_both),
         frozenset(ys | zs | w_first),
@@ -113,7 +109,7 @@ def cw_cover_cardinalities(dec: CWDecomposition) -> tuple[int, int, int]:
 def is_cm_cw(dec: CWDecomposition) -> bool:
     """Cohen-Macaulay iff exactly one leaf per left vertex and exactly one
     pendant triangle per right vertex."""
-    return all(c == 1 for c in dec.packed[: dec.n + dec.m])
+    return all(c == 1 for c in (*dec.f_counts, *dec.t_counts))
 
 
 def g_prime(dec: CWDecomposition) -> Graph:
@@ -126,9 +122,7 @@ def g_prime(dec: CWDecomposition) -> Graph:
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("the derived subgraph needs a Cohen-Macaulay shape")
     cmap = dec.canonical_map()
-    # the counts, one leaf per left vertex, then one pair per right vertex
-    pairs = dec.packed[2 * dec.n + dec.m :]
-    plus = [(cmap[y], cmap[a]) for y, (a, _) in zip(dec.right, pairs)]
+    plus = [(cmap[y], cmap[a]) for y, ((a, _),) in zip(dec.right, dec.triangles)]
     return Graph(
         [cmap[v] for v in dec.left + dec.right] + [w for _, w in plus],
         [(cmap[u], cmap[v]) for u, v in dec.support_edges] + plus,

@@ -50,22 +50,21 @@ def _max_edge_set(g: Graph, induced: bool) -> tuple[int, tuple[Edge, ...]]:
     optimal edge set in canonical edge order.
     """
     edges = g.edges
-    rank = {v: i for i, v in enumerate(g.vertices)}
-    at = [0] * len(rank)
+    at = dict.fromkeys(g.vertices, 0)
     for e, (u, v) in enumerate(edges):
-        at[rank[u]] |= 1 << e
-        at[rank[v]] |= 1 << e
+        at[u] |= 1 << e
+        at[v] |= 1 << e
     near = at
     if induced:
         # the edges meeting N[w] rather than w
-        near = at[:]
+        near = dict(at)
         for u, v in edges:
-            near[rank[u]] |= at[rank[v]]
-            near[rank[v]] |= at[rank[u]]
-    conflict = [near[rank[u]] | near[rank[v]] for u, v in edges]
+            near[u] |= at[v]
+            near[v] |= at[u]
+    conflict = [near[u] | near[v] for u, v in edges]
     # Edges are sorted by their smaller endpoint, so the lowest available
     # edge starts at the smallest vertex that still has one.
-    starts_at = [at[rank[u]] for u, _ in edges]
+    starts_at = [at[u] for u, _ in edges]
     memo = {0: 0}
 
     def best(avail: int) -> int:

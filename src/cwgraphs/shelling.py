@@ -84,7 +84,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         raise NotCompleteBipartiteSupport(
             f"support has {len(dec.support_edges)} edges, K_{{{n},{m}}} needs {n * m}"
         )
-    t_counts = dec.packed[n : n + m]
+    t_counts = dec.t_counts
     m_prime = dec.m_prime
     # F_I has 2^(sum of t_i over i not in I) facets, so the F families
     # together have prod (1 + 2^t_i) over i <= m'; each G_J has 2^t.
@@ -92,13 +92,11 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     if total > SHELLING_FACET_CAP:
         raise SizeGuard(f"shelling would have {total} facets, cap is {SHELLING_FACET_CAP}")
 
-    # vertex g of left + right carries packed[ends[g]:ends[g + 1]]
-    ends = list(itertools.accumulate(dec.packed[: n + m], initial=n + m))
-    all_leaves = dec.packed[n + m : ends[n]]
+    leaves, triangles = dec.leaves, dec.triangles
     bare_right = [dec.right[j] for j in range(m_prime, m)]
 
     def tri_vertex(i: int, k: int, sign: str) -> str:
-        pair = dec.packed[ends[n + i - 1] + k]
+        pair = triangles[i - 1][k]
         return pair[0] if sign == PLUS else pair[1]
 
     facets: list[frozenset[str]] = []
@@ -114,7 +112,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
             if i not in chosen
             for k in range(t_counts[i - 1])
         ]
-        base = set(bare_right) | set(all_leaves) | {dec.right[i - 1] for i in chosen}
+        base = set(bare_right).union(*leaves, {dec.right[i - 1] for i in chosen})
         for nu in sign_vectors(len(slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(slots, nu)}
             facets.append(frozenset(base | extra))
@@ -126,7 +124,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
         base = {dec.left[j - 1] for j in chosen}
         for j in range(1, n + 1):
             if j not in chosen:
-                base.update(dec.packed[ends[j - 1] : ends[j]])
+                base.update(leaves[j - 1])
         for nu in sign_vectors(len(all_slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(all_slots, nu)}
             facets.append(frozenset(base | extra))

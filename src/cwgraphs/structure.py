@@ -52,15 +52,15 @@ class CWDecomposition(FrozenRecord):
 
     ``support``, ``leaves``, ``triangles``, ``f_counts``, ``t_counts``
     and the read-only maps are built from these tuples on each access,
-    so a caller that reads one in a loop keeps one copy.  The record's
-    fields, which equality, ``repr`` and pickling read, are the
-    constructor's parameters; the maps show dicts, so a decomposition is
-    unhashable.
+    so a caller that reads one in a loop keeps one copy; only this
+    module reads ``packed``.  The record's fields, which ``repr`` and
+    pickling read, are the constructor's parameters.  Equality compares
+    the four stored tuples instead, which on valid certificates is the
+    same relation and builds no graph; a decomposition is unhashable.
     """
 
     __slots__ = ("left", "right", "support_edges", "packed")
     _fields = ("support", "left", "right", "leaf_map", "triangle_map")
-    __hash__ = None
 
     def __init__(
         self,
@@ -83,6 +83,11 @@ class CWDecomposition(FrozenRecord):
         counts = (*map(len, leaves), *map(len, triangles))
         set_field(self, "packed", (*counts, *chain(*leaves), *chain(*triangles)))
         self._check_attachments()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def support(self) -> Graph:

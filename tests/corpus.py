@@ -155,6 +155,22 @@ STAR7_EDGES = [
 ]
 
 
+def _named_decomposition(support, left, right, fs, ts) -> CWDecomposition:
+    """The decomposition with f_i leaves z{i}_{l} at the i-th left vertex
+    and t_j pairs w{j}_{k}+, w{j}_{k}- at the j-th right vertex, its right
+    side stored triangle-bearing first."""
+    leaf_map = {
+        x: tuple(f"z{i}_{l}" for l in range(1, f + 1))
+        for i, (x, f) in enumerate(zip(left, fs), start=1)
+    }
+    triangle_map = {
+        y: tuple((f"w{j}_{k}+", f"w{j}_{k}-") for k in range(1, t + 1))
+        for j, (y, t) in enumerate(zip(right, ts), start=1)
+    }
+    ordered = tuple(sorted(right, key=lambda y: not triangle_map[y]))
+    return CWDecomposition(support, left, ordered, leaf_map, triangle_map)
+
+
 def small_complete_support_decs():
     """The 60 decompositions over K_{n,m}, n, m <= 2, with one or two
     leaves per left vertex and up to two triangles per right vertex."""
@@ -167,15 +183,36 @@ def small_complete_support_decs():
                 for ts in itertools.product((0, 1, 2), repeat=m):
                     if any(ts[j] == 0 and ts[j + 1] > 0 for j in range(m - 1)):
                         continue  # keep triangle-bearing vertices first
-                    leaf_map = {
-                        x: tuple(f"z{i + 1}_{l + 1}" for l in range(fs[i]))
-                        for i, x in enumerate(left)
-                    }
-                    triangle_map = {
-                        y: tuple(
-                            (f"w{j + 1}_{k + 1}+", f"w{j + 1}_{k + 1}-")
-                            for k in range(ts[j])
-                        )
-                        for j, y in enumerate(right)
-                    }
-                    yield CWDecomposition(support, left, right, leaf_map, triangle_map)
+                    yield _named_decomposition(support, left, right, fs, ts)
+
+
+def _connected_supports(left, right):
+    """Every connected bipartite graph on the sides left and right."""
+    pairs = [(x, y) for x in left for y in right]
+    for r in range(1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, r):
+            support = Graph(left + right, edges)
+            if len(connected_components(support)) == 1:
+                yield support
+
+
+def labelled_decompositions(max_vertices: int):
+    """Every decomposition with at most ``max_vertices`` vertices whose
+    sides are the named vertices x1..xn and y1..ym: a connected bipartite
+    support, f_i >= 1 leaves at x_i and t_j >= 0 pendant triangles at
+    y_j, where a right vertex of support degree 1 carries a triangle (else
+    it would be a leaf of its neighbour).  Each support edge set and each
+    assignment of counts to the named vertices is one decomposition."""
+    for n in range(1, max_vertices // 2 + 1):
+        left = tuple(f"x{i}" for i in range(1, n + 1))
+        for m in range(1, max_vertices - 2 * n + 1):
+            right = tuple(f"y{j}" for j in range(1, m + 1))
+            spare = max_vertices - 2 * n - m  # vertices beyond one leaf per x
+            for support in _connected_supports(left, right):
+                bare_ok = [support.degree(y) > 1 for y in right]
+                for fs in itertools.product(range(1, spare + 2), repeat=n):
+                    for ts in itertools.product(range(spare // 2 + 1), repeat=m):
+                        if sum(fs) + 2 * sum(ts) <= spare + n and all(
+                            t or ok for t, ok in zip(ts, bare_ok)
+                        ):
+                            yield _named_decomposition(support, left, right, fs, ts)

@@ -325,6 +325,19 @@ def test_parse_graph_json_rejects_malformed_fields(text):
         parse_graph_json(text)
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ["ab"],  # a two-character string would unpack as a pair
+        [("a", "b", "c")],
+        [("a",)],
+    ],
+)
+def test_from_edge_list_rejects_malformed_pairs(pairs):
+    with pytest.raises(ParseError, match="exactly two endpoints"):
+        from_edge_list(pairs)
+
+
 def test_construction_keys_each_vertex_once(monkeypatch):
     # label order is computed once per distinct vertex; duplicate and
     # reversed edges, and isolated vertices, add no key computations, and

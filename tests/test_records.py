@@ -25,7 +25,7 @@ from cwgraphs import (
     decompose,
     random_cw,
 )
-from corpus import pendant_triangles
+from corpus import cw_corpus, pendant_triangles
 from cwgraphs.errors import InvalidDecomposition
 from cwgraphs.graph import Graph
 
@@ -182,6 +182,27 @@ def test_certificate_views_follow_their_definitions(seed):
         tuple((f"w{j}_{k}+", f"w{j}_{k}-") for k in range(1, t + 1))
         for j, t in enumerate(dec.t_counts, start=1)
     )
+
+
+def test_certificate_equality_compares_the_stored_tuples(monkeypatch):
+    # == reads left, right, support_edges and packed, so it builds no
+    # support graph; on valid certificates that is the relation of the
+    # fields that repr and pickling show
+    dec = decompose(build_cw(random_cw(4, 4, 3, 3, 0.5, 0)))
+    twin = pickle.loads(pickle.dumps(dec))
+    built = []
+    build = Graph._build
+    monkeypatch.setattr(Graph, "_build", lambda g, *args: built.append(g) or build(g, *args))
+    assert dec == twin and not dec != twin
+    assert built == []
+    monkeypatch.undo()
+    # each certificate, and its reading from the built graph, an equal
+    # certificate that is another object
+    certs = [*cw_corpus(), *(decompose(build_cw(d)) for d in cw_corpus())]
+    values = [c._values() for c in certs]
+    for a, va in zip(certs, values):
+        for b, vb in zip(certs, values):
+            assert (a == b) == (va == vb)
 
 
 @pytest.mark.parametrize("seed", CW_SEEDS)

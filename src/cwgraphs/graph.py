@@ -85,7 +85,10 @@ class Graph:
             es.add(a * n + b if a < b else b * n + a)
         self._vertices = verts
         self._edges = tuple((verts[k // n], verts[k % n]) for k in sorted(es))
-        # Kept as the label order key, so no label is sorted again.
+        # Kept as the label order key, so no label is sorted again.  The
+        # values are positions in this graph's vertices only here: a graph
+        # from induced_subgraph shares its parent's dict, whose values
+        # order the subgraph's vertices but do not index its vertices.
         self._rank = rank
         # Built on first use, so a graph that is only stored and read as
         # vertex and edge tuples (a decomposition's support) stays small.
@@ -155,7 +158,13 @@ class Graph:
         return self._adjacency()[v]
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
-        """Subgraph on the kept vertices with all edges inside them."""
+        """Subgraph on the kept vertices with all edges inside them.
+
+        The subgraph shares this graph's ranks, so its ``_rank[v]`` is v's
+        position among this graph's vertices: an order, not an index into
+        the subgraph's ``vertices``.  Positions in the subgraph come from
+        ``enumerate(sub.vertices)``.
+        """
         kept = set(keep)
         for v in kept:
             self._require(v)

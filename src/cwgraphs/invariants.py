@@ -75,14 +75,16 @@ def cw_witness_covers(dec: CWDecomposition):
     (iii) all left vertices, the triangle-bearing right vertices, and one
           degree-2 vertex per triangle.
     """
+    # each view decodes the certificate, so each is read once
     cmap = dec.canonical_map()
+    right, triangles = dec.right, dec.triangles
     xs = {cmap[x] for x in dec.left}
-    ys = {cmap[y] for y in dec.right}
+    ys = {cmap[y] for y in right}
     zs = {cmap[z] for leaves in dec.leaves for z in leaves}
-    pairs = [pair for at_y in dec.triangles for pair in at_y]
+    pairs = [pair for at_y in triangles for pair in at_y]
     w_both = {cmap[a] for pair in pairs for a in pair}
     w_first = {cmap[a] for a, _ in pairs}
-    bearing = {cmap[y] for y, t in zip(dec.right, dec.t_counts) if t}
+    bearing = {cmap[y] for y, at_y in zip(right, triangles) if at_y}
     return (
         frozenset(xs | w_both),
         frozenset(ys | zs | w_first),
@@ -121,10 +123,12 @@ def g_prime(dec: CWDecomposition) -> Graph:
     """
     if not is_cm_cw(dec):
         raise NotCohenMacaulay("the derived subgraph needs a Cohen-Macaulay shape")
+    # each view decodes the certificate, so each is read once
     cmap = dec.canonical_map()
-    plus = [(cmap[y], cmap[a]) for y, ((a, _),) in zip(dec.right, dec.triangles)]
+    right = dec.right
+    plus = [(cmap[y], cmap[a]) for y, ((a, _),) in zip(right, dec.triangles)]
     return Graph(
-        [cmap[v] for v in dec.left + dec.right] + [w for _, w in plus],
+        [cmap[v] for v in dec.left + right] + [w for _, w in plus],
         [(cmap[u], cmap[v]) for u, v in dec.support_edges] + plus,
     )
 

@@ -80,9 +80,11 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     order.
     """
     n, m = dec.n, dec.m
-    if len(dec.support_edges) != n * m:
+    # each view decodes the certificate, so each is read once
+    edge_count = len(dec.support_edges)
+    if edge_count != n * m:
         raise NotCompleteBipartiteSupport(
-            f"support has {len(dec.support_edges)} edges, K_{{{n},{m}}} needs {n * m}"
+            f"support has {edge_count} edges, K_{{{n},{m}}} needs {n * m}"
         )
     t_counts = dec.t_counts
     m_prime = dec.m_prime
@@ -92,8 +94,8 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     if total > SHELLING_FACET_CAP:
         raise SizeGuard(f"shelling would have {total} facets, cap is {SHELLING_FACET_CAP}")
 
-    leaves, triangles = dec.leaves, dec.triangles
-    bare_right = [dec.right[j] for j in range(m_prime, m)]
+    left, right, leaves, triangles = dec.left, dec.right, dec.leaves, dec.triangles
+    bare_right = right[m_prime:]
 
     def tri_vertex(i: int, k: int, sign: str) -> str:
         pair = triangles[i - 1][k]
@@ -112,7 +114,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
             if i not in chosen
             for k in range(t_counts[i - 1])
         ]
-        base = set(bare_right).union(*leaves, {dec.right[i - 1] for i in chosen})
+        base = set(bare_right).union(*leaves, {right[i - 1] for i in chosen})
         for nu in sign_vectors(len(slots)):
             extra = {tri_vertex(i, k, s) for (i, k), s in zip(slots, nu)}
             facets.append(frozenset(base | extra))
@@ -121,7 +123,7 @@ def cw_shelling(dec: CWDecomposition) -> ShellingOrder:
     all_slots = [(i, k) for i in range(1, m_prime + 1) for k in range(t_counts[i - 1])]
     for idx in _all_subsets(n)[1:]:
         chosen = set(idx)
-        base = {dec.left[j - 1] for j in chosen}
+        base = {left[j - 1] for j in chosen}
         for j in range(1, n + 1):
             if j not in chosen:
                 base.update(leaves[j - 1])

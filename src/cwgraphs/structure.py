@@ -9,9 +9,10 @@ whose right vertices may carry pendant triangles.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from collections.abc import Mapping
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from types import MappingProxyType
 
 from .errors import InvalidDecomposition, NotCameronWalker
@@ -32,6 +33,85 @@ def _aligned(mapping: Mapping, side: tuple[str, ...]):
     return tuple(mapping[v] for v in side)
 
 
+def _check_support(vertices, left, right, edges) -> None:
+    """The checks of ``validate`` up to the attachments: the sides are
+    nonempty, each free of repeats, disjoint and together the support's
+    ``vertices``, which ``edges`` connect, each edge across the sides."""
+    if not left or not right:
+        raise InvalidDecomposition("support needs vertices on both sides")
+    lset, rset = set(left), set(right)
+    if len(lset) != len(left) or len(rset) != len(right):
+        raise InvalidDecomposition("a vertex repeats within left or right")
+    if set(vertices) != lset | rset:
+        raise InvalidDecomposition("left/right must partition the support vertices")
+    if lset & rset:
+        raise InvalidDecomposition("left and right overlap")
+    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    reached = {left[0]}
+    stack = [left[0]]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(nbrs):
+        raise InvalidDecomposition("support is not connected")
+    for u, v in edges:
+        if (u in lset) == (v in lset):
+            raise InvalidDecomposition("support edge inside one side; not bipartite")
+
+
+def _check_attachments(left, right, leaves, triangles) -> None:
+    """The rest of ``validate``, on the leaf lists aligned with ``left``
+    and the triangle-pair lists aligned with ``right``."""
+    if not all(leaves):
+        raise InvalidDecomposition("every left vertex needs at least one leaf")
+    seen_bare = False
+    for pairs in triangles:
+        if not pairs:
+            seen_bare = True
+        elif seen_bare:
+            raise InvalidDecomposition(
+                "right vertices must be ordered with triangle-bearing ones first"
+            )
+    attached = set(chain.from_iterable(leaves))
+    for a, b in chain.from_iterable(triangles):
+        attached.update((a, b))
+    expected = sum(map(len, leaves)) + 2 * sum(map(len, triangles))
+    if len(attached) != expected or attached & {*left, *right}:
+        raise InvalidDecomposition("attachment labels must be fresh and distinct")
+
+
+def _width(count: int) -> tuple[str, int]:
+    """The ``memoryview`` format and byte size of one value of a code over
+    ``count`` labels: the narrowest that holds count, which no value of a
+    valid certificate exceeds."""
+    if count < 1 << 8:
+        return "B", 1
+    return ("H", 2) if count < 1 << 16 else ("I", 4)
+
+
+def _encode(labels, left, right, leaves, triangles, edges) -> bytes:
+    """The code of a valid certificate over ``labels``: n, m, f_1..f_n and
+    t_1..t_m, then the position in ``labels`` of every left and every
+    right vertex, of every leaf grouped by left vertex, of both vertices
+    of every triangle pair grouped by right vertex and of both ends of
+    every support edge, each value in the width ``_width`` gives."""
+    index = {v: i for i, v in enumerate(labels)}
+    flat = chain.from_iterable
+    values = [len(left), len(right), *map(len, leaves), *map(len, triangles)]
+    values += map(
+        index.__getitem__, chain(left, right, flat(leaves), flat(flat(triangles)), flat(edges))
+    )
+    _, size = _width(len(labels))
+    if size == 1:
+        return bytes(values)
+    return b"".join(map(int.to_bytes, values, repeat(size), repeat(sys.byteorder)))
+
+
 class CWDecomposition(FrozenRecord):
     """Structural certificate: bipartite support plus attachment lists.
 
@@ -41,25 +121,29 @@ class CWDecomposition(FrozenRecord):
     ``right[j]``.  Right vertices are ordered so that the
     triangle-bearing ones come first.  The constructor takes these lists
     as the maps ``leaf_map`` and ``triangle_map``, whose keys must be
-    exactly the left and the right vertices, runs the checks of
-    ``validate`` and keeps four tuples: ``left``, ``right``, the
-    support's edge tuple ``support_edges`` and ``packed``, which holds
-    the counts f_1..f_n and t_1..t_m, then every leaf, grouped by left
-    vertex, then every triangle pair, grouped by right vertex.  (One
-    tuple for counts and attachments keeps a stored certificate one
-    tuple smaller.)  So every instance is a valid certificate and its
-    users need not check it again.
+    exactly the left and the right vertices, and runs the checks of
+    ``validate``, so every instance is a valid certificate and its users
+    need not check it again.
 
-    ``support``, ``leaves``, ``triangles``, ``f_counts``, ``t_counts``
-    and the read-only maps are built from these tuples on each access,
-    so a caller that reads one in a loop keeps one copy; only this
-    module reads ``packed``.  The record's fields, which ``repr`` and
+    An instance keeps two fields: ``labels``, a tuple holding each of its
+    vertices once, and ``code``, the bytes that ``_encode`` writes, which
+    refer to the vertices by their positions in ``labels``.  A
+    certificate read off a graph shares the graph's ``vertices`` as its
+    labels; the constructor lists them in the order left, right, leaves,
+    triangle pairs.  Only this module reads ``code``.
+
+    ``left``, ``right``, ``support_edges``, ``leaves``, ``triangles``,
+    ``f_counts``, ``t_counts``, the read-only maps and ``support`` are
+    decoded from the code on each access, so a caller that reads one in
+    a loop keeps one copy.  The record's fields, which ``repr`` and
     pickling read, are the constructor's parameters.  Equality compares
-    the four stored tuples instead, which on valid certificates is the
-    same relation and builds no graph; a decomposition is unhashable.
+    the decoded sides, attachment lists and support edges, which is the
+    relation of those fields and builds no graph (two certificates over
+    equal labels compare their codes instead); a decomposition is
+    unhashable.
     """
 
-    __slots__ = ("left", "right", "support_edges", "packed")
+    __slots__ = ("labels", "code")
     _fields = ("support", "left", "right", "leaf_map", "triangle_map")
 
     def __init__(
@@ -70,170 +154,170 @@ class CWDecomposition(FrozenRecord):
         leaf_map: Mapping[str, tuple[str, ...]],
         triangle_map: Mapping[str, tuple[tuple[str, str], ...]],
     ):
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_field(self, "support_edges", support.edges)
-        self._check_support(support.vertices)
+        _check_support(support.vertices, left, right, support.edges)
         leaves = _aligned(leaf_map, left)
         if leaves is None:
             raise InvalidDecomposition("leaf_map keys must be exactly the left vertices")
         triangles = _aligned(triangle_map, right)
         if triangles is None:
             raise InvalidDecomposition("triangle_map keys must be exactly the right vertices")
-        counts = (*map(len, leaves), *map(len, triangles))
-        set_field(self, "packed", (*counts, *chain(*leaves), *chain(*triangles)))
-        self._check_attachments()
+        _check_attachments(left, right, leaves, triangles)
+        # in role order; the checks above make every label distinct
+        flat = chain.from_iterable
+        labels = (*left, *right, *flat(leaves), *flat(flat(triangles)))
+        set_field(self, "labels", labels)
+        set_field(self, "code", _encode(labels, left, right, leaves, triangles, support.edges))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        # Equal certificates have as many labels and as long a code, and
+        # over the same labels the same code.
+        if len(self.labels) != len(other.labels) or len(self.code) != len(other.code):
+            return False
+        if self.labels == other.labels:
+            return self.code == other.code
+        return self._parts() == other._parts()
+
+    def _ints(self) -> memoryview:
+        # the code's values, read in the width of this certificate
+        return memoryview(self.code).cast(_width(len(self.labels))[0])
+
+    def _flat(self) -> tuple[list[int], list[str]]:
+        """The code decoded: its counts n, m, f_1..f_n, t_1..t_m, and the
+        labels that the rest of it refers to, in order."""
+        code = self._ints().tolist()
+        k = 2 + code[0] + code[1]
+        labels = self.labels
+        return code[:k], [labels[i] for i in code[k:]]
+
+    def _parts(self):
+        """(left, right, leaves, triangles, support_edges), decoded."""
+        counts, names = self._flat()
+        n = counts[0]
+        names = iter(names)
+        left, right = tuple(islice(names, n)), tuple(islice(names, counts[1]))
+        leaves = tuple([tuple(islice(names, f)) for f in counts[2 : 2 + n]])
+        # consecutive names pair up, as the triangle pairs, then the edges
+        pairs = zip(names, names)
+        triangles = tuple([tuple(islice(pairs, t)) for t in counts[2 + n :]])
+        return left, right, leaves, triangles, tuple(pairs)
 
     @property
-    def support(self) -> Graph:
-        """The support graph on ``left`` + ``right``, built on each access."""
-        return Graph(self.left + self.right, self.support_edges)
+    def left(self) -> tuple[str, ...]:
+        return self._parts()[0]
 
-    def _groups(self, first: int, stop: int) -> tuple[tuple, ...]:
-        # the attachment tuples of the vertices first..stop-1 of left + right
-        k = self.n + self.m
-        ends = list(accumulate(self.packed[:k], initial=k))
-        return tuple(self.packed[ends[i] : ends[i + 1]] for i in range(first, stop))
+    @property
+    def right(self) -> tuple[str, ...]:
+        return self._parts()[1]
 
     @property
     def leaves(self) -> tuple[tuple[str, ...], ...]:
-        """The leaves of each left vertex, built on each access."""
-        return self._groups(0, self.n)
+        """The leaves of each left vertex."""
+        return self._parts()[2]
 
     @property
     def triangles(self) -> tuple[tuple[tuple[str, str], ...], ...]:
-        """The triangle pairs of each right vertex, built on each access."""
-        return self._groups(self.n, self.n + self.m)
+        """The triangle pairs of each right vertex."""
+        return self._parts()[3]
+
+    @property
+    def support_edges(self) -> tuple[tuple[str, str], ...]:
+        """The support's edge tuple."""
+        return self._parts()[4]
+
+    @property
+    def support(self) -> Graph:
+        """The support graph on ``left`` + ``right``."""
+        left, right, _, _, edges = self._parts()
+        return Graph(left + right, edges)
 
     @property
     def leaf_map(self) -> Mapping[str, tuple[str, ...]]:
-        """Read-only view {left vertex: its leaves}, built on each access."""
-        return MappingProxyType(dict(zip(self.left, self.leaves)))
+        """Read-only view {left vertex: its leaves}."""
+        left, _, leaves, _, _ = self._parts()
+        return MappingProxyType(dict(zip(left, leaves)))
 
     @property
     def triangle_map(self) -> Mapping[str, tuple[tuple[str, str], ...]]:
-        """Read-only view {right vertex: its triangle pairs}, built on each access."""
-        return MappingProxyType(dict(zip(self.right, self.triangles)))
+        """Read-only view {right vertex: its triangle pairs}."""
+        _, right, _, triangles, _ = self._parts()
+        return MappingProxyType(dict(zip(right, triangles)))
 
     @property
     def n(self) -> int:
-        return len(self.left)
+        return self._ints()[0]
 
     @property
     def m(self) -> int:
-        return len(self.right)
+        return self._ints()[1]
 
     @property
     def f_counts(self) -> tuple[int, ...]:
-        return self.packed[: self.n]
+        code = self._ints()
+        return tuple(code[2 : 2 + code[0]])
 
     @property
     def t_counts(self) -> tuple[int, ...]:
-        return self.packed[self.n : self.n + self.m]
+        code = self._ints()
+        n = code[0]
+        return tuple(code[2 + n : 2 + n + code[1]])
 
     @property
     def f(self) -> int:
-        return sum(self.packed[: self.n])
+        return sum(self.f_counts)
 
     @property
     def t(self) -> int:
-        return sum(self.packed[self.n : self.n + self.m])
+        return sum(self.t_counts)
 
     @property
     def m_prime(self) -> int:
-        return sum(1 for t in self.packed[self.n : self.n + self.m] if t >= 1)
+        return sum(1 for t in self.t_counts if t >= 1)
 
     def validate(self) -> None:
         """Raise InvalidDecomposition unless this is a valid certificate."""
-        self._check_support(self.left + self.right)
-        self._check_attachments()
-
-    def _check_support(self, vertices: tuple[str, ...]) -> None:
-        # The checks of validate up to the attachments, on the support's
-        # vertices and the stored edges.
-        if not self.left or not self.right:
-            raise InvalidDecomposition("support needs vertices on both sides")
-        if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
-            raise InvalidDecomposition("a vertex repeats within left or right")
-        if set(vertices) != set(self.left) | set(self.right):
-            raise InvalidDecomposition("left/right must partition the support vertices")
-        if set(self.left) & set(self.right):
-            raise InvalidDecomposition("left and right overlap")
-        nbrs: dict[str, list[str]] = {v: [] for v in vertices}
-        for u, v in self.support_edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        reached = {self.left[0]}
-        stack = [self.left[0]]
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != len(nbrs):
-            raise InvalidDecomposition("support is not connected")
-        lset = set(self.left)
-        for u, v in self.support_edges:
-            if (u in lset) == (v in lset):
-                raise InvalidDecomposition("support edge inside one side; not bipartite")
-
-    def _check_attachments(self) -> None:
-        # The rest of validate, on the stored counts and attachments.
-        n, k = self.n, self.n + self.m
-        if 0 in self.packed[:n]:
-            raise InvalidDecomposition("every left vertex needs at least one leaf")
-        seen_bare = False
-        for t in self.packed[n:k]:
-            if t == 0:
-                seen_bare = True
-            elif seen_bare:
-                raise InvalidDecomposition(
-                    "right vertices must be ordered with triangle-bearing ones first"
-                )
-        f = self.f
-        attached = set(self.packed[k : k + f])
-        for a, b in self.packed[k + f :]:
-            attached.update((a, b))
-        expected = f + 2 * self.t
-        if len(attached) != expected or attached & {*self.left, *self.right}:
-            raise InvalidDecomposition("attachment labels must be fresh and distinct")
+        left, right, leaves, triangles, edges = self._parts()
+        _check_support(left + right, left, right, edges)
+        _check_attachments(left, right, leaves, triangles)
 
     def vertex_count(self) -> int:
-        return self.n + self.m + self.f + 2 * self.t
+        # n + m + f + 2t: the labels are exactly the certificate's vertices
+        return len(self.labels)
 
     def canonical_map(self) -> dict[str, str]:
         """Mapping from this decomposition's labels to the canonical scheme."""
-        out: dict[str, str] = {}
-        # zip stops each side at its own counts
-        attached = iter(self.packed[self.n + self.m :])
-        for i, (x, c) in enumerate(zip(self.left, self.packed), start=1):
-            out[x] = f"x{i}"
-            for l, z in enumerate(islice(attached, c), start=1):
-                out[z] = f"z{i}_{l}"
-        for j, (y, c) in enumerate(zip(self.right, self.packed[self.n :]), start=1):
-            out[y] = f"y{j}"
-            for k, (a, b) in enumerate(islice(attached, c), start=1):
-                out[a] = f"w{j}_{k}+"
-                out[b] = f"w{j}_{k}-"
-        return out
+        return _canonical_map(*self._parts()[:4])
 
     def to_dict(self) -> dict:
         """The payload that ``to_json`` writes."""
+        left, right, leaves, triangles, edges = self._parts()
         return {
-            "left": list(self.left),
-            "right": list(self.right),
-            "support_edges": [list(e) for e in self.support_edges],
-            "leaves": dict(zip(self.left, self.packed)),
-            "triangles": dict(zip(self.right, self.packed[self.n :])),
+            "left": list(left),
+            "right": list(right),
+            "support_edges": [list(e) for e in edges],
+            "leaves": dict(zip(left, map(len, leaves))),
+            "triangles": dict(zip(right, map(len, triangles))),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+
+def _canonical_map(left, right, leaves, triangles) -> dict[str, str]:
+    """Mapping from the labels of these decoded parts to the canonical
+    scheme of ``build_cw``."""
+    out: dict[str, str] = {}
+    for i, (x, zs) in enumerate(zip(left, leaves), start=1):
+        out[x] = f"x{i}"
+        for l, z in enumerate(zs, start=1):
+            out[z] = f"z{i}_{l}"
+    for j, (y, pairs) in enumerate(zip(right, triangles), start=1):
+        out[y] = f"y{j}"
+        for k, (a, b) in enumerate(pairs, start=1):
+            out[a] = f"w{j}_{k}+"
+            out[b] = f"w{j}_{k}-"
+    return out
 
 
 class Classification(FrozenRecord):
@@ -310,7 +394,7 @@ def _two_coloring(g: Graph, vertices: list[str]):
     ``vertices``, each in their order, by breadth-first layering from the
     first; None at the first edge inside a side.  A vertex the layering
     misses (a connected subgraph has none) lands on neither side, which
-    ``CWDecomposition.validate`` rejects."""
+    the checks of ``CWDecomposition.validate`` reject."""
     adj = g._adjacency()
     keep = set(vertices)
     color = {vertices[0]: 0}
@@ -330,7 +414,10 @@ def _two_coloring(g: Graph, vertices: list[str]):
 
 def _try_decompose(g: Graph, leaves: tuple[str, ...]):
     """Attempt the structural reading of a connected g with these leaves;
-    returns (decomposition, reason)."""
+    returns (decomposition, reason).  A reading passes the checks of
+    ``validate`` before it is coded over g's vertices, by their positions
+    in ``g.vertices`` (not by ``g._rank``, which a subgraph shares with
+    its parent)."""
     triangles, support_vertices = _attachments(g, leaves)
     if len(support_vertices) < 2:
         return None, "support has fewer than two vertices after stripping"
@@ -338,18 +425,15 @@ def _try_decompose(g: Graph, leaves: tuple[str, ...]):
     if sides is None:
         return None, "support is not bipartite"
 
+    adj = g._adjacency()
     leaf_at: dict[str, list[str]] = {v: [] for v in support_vertices}
     for z in leaves:
-        (u,) = g.neighborhood(z)
+        (u,) = adj[z]
         leaf_at[u].append(z)
-    # Each triangle's pair is stored as g's own edge tuple (a, b): the
-    # triangles come sorted by (c, a, b) with a before b, so every list
-    # is already in label order, and no new tuple is kept per pair.
-    partner = {a: b for _, a, b in triangles}
-    edge_at = {e[0]: e for e in g.edges if partner.get(e[0]) == e[1]}
+    # the triangles come sorted by (c, a, b), so every list is in label order
     tri_at: dict[str, list[tuple[str, str]]] = {v: [] for v in support_vertices}
-    for c, a, _ in triangles:
-        tri_at[c].append(edge_at[a])
+    for c, a, b in triangles:
+        tri_at[c].append((a, b))
 
     def orientation_ok(left_side, right_side) -> bool:
         return (
@@ -370,15 +454,21 @@ def _try_decompose(g: Graph, leaves: tuple[str, ...]):
 
     # Both sides and every leaf list are in label order already, since
     # they were filled in the order of g.vertices; the right side is split
-    # stably, triangle-bearing vertices first.
+    # stably, triangle-bearing vertices first.  The support edges are g's
+    # own, filtered, so they keep the order of the support's edge tuple.
     right = tuple(y for y in right_side if tri_at[y]) + tuple(
         y for y in right_side if not tri_at[y]
     )
-    # the constructor flattens the lists into its packed tuple
-    leaf_map = {x: leaf_at[x] for x in left}
-    triangle_map = {y: tri_at[y] for y in right}
-    support = g.induced_subgraph(support_vertices)
-    return CWDecomposition(support, left, right, leaf_map, triangle_map), None
+    leaf_lists = [leaf_at[x] for x in left]
+    tri_lists = [tri_at[y] for y in right]
+    keep = set(support_vertices)
+    edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
+    _check_support(support_vertices, left, right, edges)
+    _check_attachments(left, right, leaf_lists, tri_lists)
+    dec = CWDecomposition.__new__(CWDecomposition)
+    set_field(dec, "labels", g.vertices)
+    set_field(dec, "code", _encode(g.vertices, left, right, leaf_lists, tri_lists, edges))
+    return dec, None
 
 
 def certify_cw(g: Graph, dec: CWDecomposition) -> int:
@@ -395,26 +485,33 @@ def certify_cw(g: Graph, dec: CWDecomposition) -> int:
     the cover's parts disjoint, so only g's edges are checked.  Linear in |V| + |E|; raises
     InvalidDecomposition when either half fails.
     """
-    n, k, f = dec.n, dec.n + dec.m, dec.f
-    firsts = accumulate(dec.packed[: n - 1], initial=k)
-    matching = [(x, dec.packed[i]) for x, i in zip(dec.left, firsts)]
-    matching += dec.packed[k + f :]
+    counts, names = dec._flat()
+    n, m = counts[0], counts[1]
+    f_counts, t_counts = counts[2 : 2 + n], counts[2 + n :]
+    left, right = names[:n], names[n : n + m]
+    # the first leaf of each left vertex, then every triangle pair
+    firsts = accumulate(f_counts[:-1], initial=n + m)
+    matching = [(x, names[i]) for x, i in zip(left, firsts)]
+    k = n + m + sum(f_counts)
+    end = k + 2 * sum(t_counts)
+    pairs = list(zip(names[k:end:2], names[k + 1 : end : 2]))
+    matching += pairs
     slot: dict[str, int] = {}
     for i, (a, b) in enumerate(matching):
         if not g.has_edge(a, b):
             raise InvalidDecomposition(f"{(a, b)!r} is not an edge of the graph")
         slot[a] = slot[b] = i
 
-    left = set(dec.left)
-    odd_set = {y: y for y in dec.right}
-    pairs = iter(dec.packed[k + f :])
-    for y, c in zip(dec.right, dec.packed[n:]):
-        for a, b in islice(pairs, c):
+    lset = set(left)
+    odd_set = {y: y for y in right}
+    at_y = iter(pairs)
+    for y, t in zip(right, t_counts):
+        for a, b in islice(at_y, t):
             odd_set[a] = odd_set[b] = y
     for u, v in g.edges:
         if u in slot and v in slot and slot[u] != slot[v]:
             raise InvalidDecomposition(f"edge {(u, v)!r} joins two matching edges")
-        if u not in left and v not in left and (
+        if u not in lset and v not in lset and (
             u not in odd_set or odd_set[u] != odd_set.get(v)
         ):
             raise InvalidDecomposition(f"edge {(u, v)!r} escapes the odd-set cover")
@@ -472,18 +569,17 @@ def build_cw(dec: CWDecomposition) -> Graph:
     named in label order (every w by j, k and + before -, then x, y and
     z by their indices), so the graph is built without sorting them.
     """
-    cmap = dec.canonical_map()
-    n, k, f = dec.n, dec.n + dec.m, dec.f
-    w = [cmap[a] for pair in dec.packed[k + f :] for a in pair]
-    zs = [cmap[z] for z in dec.packed[k : k + f]]
-    vertices = (*w, *(cmap[x] for x in dec.left), *(cmap[y] for y in dec.right), *zs)
-    edges = [(cmap[u], cmap[v]) for u, v in dec.support_edges]
-    attached = iter(dec.packed[k:])
-    for x, c in zip(dec.left, dec.packed):
-        for z in islice(attached, c):
+    left, right, leaves, triangles, support_edges = dec._parts()
+    cmap = _canonical_map(left, right, leaves, triangles)
+    w = [cmap[a] for pairs in triangles for pair in pairs for a in pair]
+    zs = [cmap[z] for at_x in leaves for z in at_x]
+    vertices = (*w, *(cmap[x] for x in left), *(cmap[y] for y in right), *zs)
+    edges = [(cmap[u], cmap[v]) for u, v in support_edges]
+    for x, at_x in zip(left, leaves):
+        for z in at_x:
             edges.append((cmap[x], cmap[z]))
-    for y, c in zip(dec.right, dec.packed[n:]):
-        for a, b in islice(attached, c):
+    for y, pairs in zip(right, triangles):
+        for a, b in pairs:
             edges.append((cmap[y], cmap[a]))
             edges.append((cmap[y], cmap[b]))
             edges.append((cmap[a], cmap[b]))

@@ -517,12 +517,12 @@ def test_report_invariants_on_corpus_sample():
 )
 def test_each_certificate_is_validated_once(monkeypatch, run):
     # checked where it is built; no consumer checks it again.  The
-    # constructor and validate each run the checks once, starting with
-    # the support's.
+    # constructor, the reading of a graph and validate each run the
+    # checks once, starting with the support's.
     calls = []
-    check = CWDecomposition._check_support
+    check = structure._check_support
     monkeypatch.setattr(
-        CWDecomposition, "_check_support", lambda dec, vs: calls.append(dec) or check(dec, vs)
+        structure, "_check_support", lambda *args: calls.append(args) or check(*args)
     )
     run()
     assert len(calls) == 1

@@ -171,9 +171,14 @@ def test_certificate_views_follow_their_definitions(seed):
         assert d.leaf_map == dict(zip(d.left, d.leaves))
         assert d.triangle_map == dict(zip(d.right, d.triangles))
         assert (d.f, d.t) == (sum(d.f_counts), sum(d.t_counts))
-        # each view is built from the four stored tuples
-        flat = (*(z for ls in d.leaves for z in ls), *(p for ps in d.triangles for p in ps))
-        assert d.packed == d.f_counts + d.t_counts + flat
+        # each view is decoded from the labels, which hold every vertex
+        # once, and a code of one byte per count, per vertex and per end
+        # of a support edge, each value below the number of labels
+        flat = (*(z for ls in d.leaves for z in ls), *(a for ps in d.triangles for p in ps for a in p))
+        assert sorted(d.labels) == sorted((*d.left, *d.right, *flat))
+        assert len(d.labels) == d.vertex_count()
+        assert len(d.code) == 2 + d.n + d.m + len(d.labels) + 2 * len(d.support_edges)
+        assert max(d.code) < len(d.labels)
     # the generator names its attachments by position
     assert dec.leaves == tuple(
         tuple(f"z{i}_{l}" for l in range(1, f + 1)) for i, f in enumerate(dec.f_counts, start=1)
@@ -184,8 +189,16 @@ def test_certificate_views_follow_their_definitions(seed):
     )
 
 
+def test_leaf_label_that_repeats_a_right_label_is_refused():
+    # the constructor checks its arguments before it codes them
+    with pytest.raises(InvalidDecomposition) as err:
+        CWDecomposition(EDGE, ("x1",), ("y1",), {"x1": ("y1",)}, {"y1": ()})
+    assert str(err.value) == "attachment labels must be fresh and distinct"
+
+
 def test_certificate_equality_compares_the_stored_tuples(monkeypatch):
-    # == reads left, right, support_edges and packed, so it builds no
+    # == compares the decoded sides, attachments and support edges (or
+    # the codes of two certificates over equal labels), so it builds no
     # support graph; on valid certificates that is the relation of the
     # fields that repr and pickling show
     dec = decompose(build_cw(random_cw(4, 4, 3, 3, 0.5, 0)))
@@ -208,8 +221,11 @@ def test_certificate_equality_compares_the_stored_tuples(monkeypatch):
 @pytest.mark.parametrize("seed", CW_SEEDS)
 def test_certificate_refers_to_no_dict(seed):
     # the support graph and the maps are built only when read, so a
-    # stored certificate holds neither a dict nor a Graph
-    dec = _certificates(seed)[1]
+    # stored certificate holds neither a dict nor a Graph; read off g,
+    # its labels are g's own vertex tuple, not a copy
+    g = build_cw(random_cw(3, 3, 3, 2, 0.5, seed))
+    dec = decompose(g)
+    assert dec.labels is g.vertices
     reached, stack = set(), [dec]
     while stack:
         for ref in gc.get_referents(stack.pop()):

@@ -286,7 +286,9 @@ def main(argv=None) -> int:
         code = _run(argv)
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: standard output is closed", file=sys.stderr)
         return EXIT_INPUT
     return code
@@ -316,6 +318,9 @@ def _run(argv) -> int:
         return EXIT_INPUT
     except SizeGuard as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("size guard: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except CWGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ COMPLEX_VERTEX_CAP = 26
 
 
 def _facet_key(f: frozenset[str]):
-    return tuple(label_key(v) for v in sorted(f, key=label_key))
+    return tuple(sorted(map(label_key, f)))
 
 
 def _maximal_only(sets) -> tuple[frozenset[str], ...]:

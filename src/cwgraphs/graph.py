@@ -20,11 +20,12 @@ _DIGIT_RUN = re.compile(r"(\d+)")
 def label_key(label: str):
     """Sort key for labels: runs of digits compare as integers.
 
-    The raw label is appended as a tie-break so distinct labels such as
-    "x01" and "x1" still compare unequal.
+    The raw label is appended as a tie-break, so distinct labels such as
+    "x01" and "x1" get distinct keys and sorting keys sorts the labels.
     """
     parts = _DIGIT_RUN.split(label)
-    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts)), label
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts), label
 
 
 def sorted_labels(labels: Iterable[str]) -> tuple[str, ...]:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 from cwgraphs import CWDecomposition, is_cm_cw, random_cw
@@ -35,6 +36,36 @@ def cw_corpus(count: int = 300, max_vertices: int = 16) -> tuple[CWDecomposition
         if is_cm_cw(dec):
             decs.append(dec)
     return tuple(decs)
+
+
+def label_key_reference(label: str):
+    """Reference label key by definition: each digit run, at the odd
+    positions of the split, converted to an integer, then the raw label."""
+    parts = re.split(r"(\d+)", label)
+    return tuple(int(p) if i % 2 else p for i, p in enumerate(parts)), label
+
+
+def facet_key(f) -> tuple:
+    """Reference facet order: the keys of the members, taken in the order
+    that sorting the members by key gives."""
+    return tuple(label_key_reference(v) for v in sorted(f, key=label_key_reference))
+
+
+# Pairs whose label order differs from string order or whose keys agree
+# before the tie-break: a zero-padded run, an Arabic-Indic digit, and
+# two digit runs in one label.
+TRICKY_LABELS = ("x01", "x1", "x\u0663", "x4", "a10b2", "a2b10", "z007")
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed at random, up to seven of them by
+    TRICKY_LABELS and the rest q1, q2, ..."""
+    n = g.vertex_count
+    names = rng.sample(TRICKY_LABELS, min(n, len(TRICKY_LABELS)))
+    names += [f"q{i}" for i in range(1, n - len(names) + 1)]
+    rng.shuffle(names)
+    rename = dict(zip(g.vertices, names))
+    return Graph(names, [(rename[u], rename[v]) for u, v in g.edges])
 
 
 def random_graph(rng: random.Random, max_vertices: int, density: float) -> Graph:

@@ -181,6 +181,20 @@ def test_other_package_errors_exit_1(capsys, monkeypatch):
     assert out == "" and err == "error: witness cover failed its minimality check\n"
 
 
+def test_out_of_memory_is_a_size_guard(capsys, monkeypatch):
+    # a search whose memo outgrows memory exits like any other size
+    # guard, with one line and no traceback
+    from cwgraphs import invariants
+
+    def fail(g):
+        raise MemoryError
+
+    monkeypatch.setattr(invariants, "full_report", fail)
+    code, out, err = run(capsys, "analyze", str(DATA / "g5.edges"))
+    assert code == 2
+    assert out == "" and err == "size guard: out of memory\n"
+
+
 def test_shelling_past_the_facet_cap_is_a_size_guard(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in shelling_past_the_cap().edges))
@@ -471,6 +485,35 @@ def test_closed_stdout_is_an_error_not_a_traceback(argv):
     assert proc.returncode == 1
     assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr
     assert proc.stderr == b"error: standard output is closed\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+def test_closed_stdout_leaves_no_descriptor_open():
+    # main points stdout at the null device; the descriptor it opened for
+    # that is closed again, so an in-process caller keeps its count
+    script = (
+        "import os, sys\n"
+        "from cwgraphs.cli import main\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        f"code = main(['classify', {str(DATA / 'g5.edges')!r}])\n"
+        "after = len(os.listdir('/proc/self/fd'))\n"
+        "print(code, before, after, file=sys.stderr)\n"
+    )
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    lines = proc.stderr.decode().splitlines()
+    assert lines[0] == "error: standard output is closed"
+    code, before, after = map(int, lines[1].split())
+    assert code == 1 and after == before
 
 
 def test_shelling_text_index_sets_are_in_order(tmp_path, capsys):

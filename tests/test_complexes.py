@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from corpus import G5_EDGES, P5_EDGES, cw_corpus, random_graph, shelling_past_the_cap
+from corpus import (
+    G5_EDGES,
+    P5_EDGES,
+    TRICKY_LABELS,
+    cw_corpus,
+    facet_key,
+    petersen,
+    random_graph,
+    relabelled,
+    shelling_past_the_cap,
+)
 from cwgraphs import (
     SimplicialComplex,
     build_cw,
@@ -25,7 +35,7 @@ from cwgraphs import (
     random_cw,
     verify_shelling,
 )
-from cwgraphs import shelling
+from cwgraphs import complexes, shelling
 from cwgraphs.complexes import COMPLEX_VERTEX_CAP
 from cwgraphs.errors import (
     LengthMismatch,
@@ -33,8 +43,9 @@ from cwgraphs.errors import (
     NotCompleteBipartiteSupport,
     SizeGuard,
 )
-from cwgraphs.graph import Graph
+from cwgraphs.graph import Graph, label_key
 from cwgraphs.matchings import INDUCED_EDGE_CAP, MATCHING_VERTEX_CAP
+from cwgraphs.oracle import enumerate_labeled_graphs
 from cwgraphs.shelling import MINUS, PLUS
 
 DATA = Path(__file__).parent / "data"
@@ -152,6 +163,45 @@ def test_vertices_are_the_union_of_the_facets():
     for g in graphs:
         cx = independence_complex(g)
         assert cx.vertices == frozenset(g.vertices) == frozenset().union(*cx.facets)
+
+
+def assert_facets_in_reference_order(g):
+    facets = independence_complex(g).facets
+    assert facets == tuple(sorted(facets, key=facet_key))
+    assert SimplicialComplex(reversed(facets)).facets == facets
+
+
+def test_facet_order_on_every_labelled_five_vertex_graph():
+    # v1..v5 and a relabelling whose label order is neither string order
+    # nor the order of the keys before their tie-break
+    names = dict(zip(("v1", "v2", "v3", "v4", "v5"), TRICKY_LABELS[:5]))
+    for g in enumerate_labeled_graphs(5):
+        assert_facets_in_reference_order(g)
+        edges = [(names[u], names[v]) for u, v in g.edges]
+        assert_facets_in_reference_order(Graph(names.values(), edges))
+
+
+def test_facet_order_on_relabelled_cw_graphs():
+    rng = random.Random(27)
+    for dec in cw_corpus():
+        g = build_cw(dec)
+        assert_facets_in_reference_order(g)
+        assert_facets_in_reference_order(relabelled(g, rng))
+
+
+def test_independence_complex_keys_each_member_once(monkeypatch):
+    # the facet order sorts the members' keys, so each member of each
+    # facet is keyed once, the sort included
+    calls = []
+
+    def counting_key(label):
+        calls.append(label)
+        return label_key(label)
+
+    g = relabelled(petersen(), random.Random(1))
+    monkeypatch.setattr(complexes, "label_key", counting_key)
+    facets = independence_complex(g).facets
+    assert len(calls) == sum(map(len, facets))
 
 
 def test_vertex_decomposable_base_cases():

@@ -5,14 +5,17 @@ import copy
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 
 from corpus import (
     G5_EDGES,
     STAR7_EDGES,
+    TRICKY_LABELS,
     connected_components,
     cw_corpus,
+    label_key_reference,
     pendant_triangles,
     random_graph,
 )
@@ -360,6 +363,21 @@ def test_construction_keys_each_vertex_once(monkeypatch):
     assert built.vertex_count == dec.vertex_count() and not calls
 
 
+@pytest.mark.parametrize(
+    "label",
+    [
+        *TRICKY_LABELS,
+        "x\u0663\u0664", "v\u0967\u0966", "\uff11\uff12x",  # Arabic-Indic, Devanagari, fullwidth
+        "x\u00b2",  # a superscript two is not a decimal digit
+        "007", "x0", "a000b01",  # leading zeros
+        "12ab", "ab12", "1a2", "12", "3x4y5",  # leading or trailing runs
+        "", "abc", "x-y_z",  # no digits
+    ],
+)
+def test_label_key_follows_its_definition(label):
+    assert label_key(label) == label_key_reference(label)
+
+
 def test_overlong_digit_run_is_a_parse_error():
     # a digit run past Python's int-string limit cannot be ordered as an
     # integer; the label is named, shortened, in the error
@@ -368,3 +386,11 @@ def test_overlong_digit_run_is_a_parse_error():
         parse_edge_list(f"{label} b\n")
     with pytest.raises(ParseError):
         Graph(["b", label], [])
+    # the whole message, with the run in the middle of the label
+    label = "x" + "9" * 4301 + "y"
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(f"a {label}\n")
+    assert str(exc.value) == (
+        "vertex label 'x9999999999999999999'... (4303 characters) has a digit run"
+        f" too long to order; Python converts at most {sys.get_int_max_str_digits()} digits"
+    )
